@@ -9,9 +9,7 @@
 
 #include "bench_common.hpp"
 #include "cluster/cfs.hpp"
-#include "core/failover_trace.hpp"
 #include "net/network.hpp"
-#include "workload/driver.hpp"
 
 namespace {
 
@@ -28,6 +26,7 @@ struct Sample {
 Sample RunFailover(SimTime window, int standbys, bool kill_all_standbys,
                    std::uint64_t seed) {
   sim::Simulator sim(seed);
+  sim.obs().tracer().set_enabled(true);  // the stages are read from spans
   net::Network net(sim);
   cluster::CfsConfig cfg;
   cfg.groups = 1;
@@ -48,11 +47,10 @@ Sample RunFailover(SimTime window, int standbys, bool kill_all_standbys,
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  workload::DriverOptions dopts;
-  dopts.sessions = 2;
-  workload::Driver driver(sim, workload::MakeApi(cfs.client(0)),
-                          Mix::Only(OpKind::kCreate), seed, dopts);
-  driver.Start();
+  workload::LoadEngine engine(sim, workload::MakeApi(cfs.client(0)),
+                              Mix::Only(OpKind::kCreate), seed,
+                              workload::LoadEngineOptions::Closed(2));
+  engine.Start();
   sim.RunUntil(sim.Now() + 3 * kSecond);  // let the junior be renewed
 
   if (kill_all_standbys) {
@@ -70,19 +68,19 @@ Sample RunFailover(SimTime window, int standbys, bool kill_all_standbys,
   }
 
   const SimTime cap = sim.Now() + 120 * kSecond;
-  while (!driver.mttr_probe().complete() && sim.Now() < cap) {
+  while (!engine.mttr_probe().complete() && sim.Now() < cap) {
     sim.RunUntil(sim.Now() + 250 * kMillisecond);
   }
-  driver.Stop();
+  engine.Stop();
 
   Sample s;
-  const auto& traces = cfs.failover_log().traces();
-  if (!traces.empty() && traces.back().complete()) {
+  const auto traces = core::CompletedFailovers(sim.obs().tracer());
+  if (!traces.empty()) {
     s.election_ms = ToMillis(traces.back().ElectionTime());
     s.switch_ms = ToMillis(traces.back().SwitchTime());
   }
-  if (driver.mttr_probe().complete()) {
-    s.mttr_s = ToSeconds(driver.mttr_probe().mttr());
+  if (engine.mttr_probe().complete()) {
+    s.mttr_s = ToSeconds(engine.mttr_probe().mttr());
   }
   return s;
 }

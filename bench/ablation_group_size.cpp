@@ -13,7 +13,7 @@
 #include "bench_common.hpp"
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 
 namespace {
 
@@ -39,18 +39,17 @@ double MeasureThroughput(int standbys, std::uint64_t seed) {
   cluster::CfsCluster cfs(net, cfg);
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> engines;
   for (int c = 0; c < 4; ++c) {
-    workload::DriverOptions opts;
-    opts.sessions = 8;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    const auto opts = workload::LoadEngineOptions::Closed(8);
+    engines.push_back(std::make_unique<workload::LoadEngine>(
         sim, workload::MakeApi(cfs.client(c)), Mix::Mixed(), seed * 3 + c,
         opts));
-    drivers.back()->Start();
+    engines.back()->Start();
   }
   sim.RunUntil(sim.Now() + bench::BenchSeconds() * kSecond);
   double total = 0;
-  for (auto& d : drivers) {
+  for (auto& d : engines) {
     d->Stop();
     total += bench::SteadyThroughput(d->rate());
   }
@@ -73,11 +72,10 @@ double FailureMttr(int standbys, int extra_kills, std::uint64_t seed) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  workload::DriverOptions dopts;
-  dopts.sessions = 2;
-  workload::Driver driver(sim, workload::MakeApi(cfs.client(0)),
-                          Mix::Only(OpKind::kCreate), seed, dopts);
-  driver.Start();
+  workload::LoadEngine engine(sim, workload::MakeApi(cfs.client(0)),
+                              Mix::Only(OpKind::kCreate), seed,
+                              workload::LoadEngineOptions::Closed(2));
+  engine.Start();
   sim.RunUntil(sim.Now() + 2 * kSecond);
 
   int kills = 0;
@@ -95,12 +93,12 @@ double FailureMttr(int standbys, int extra_kills, std::uint64_t seed) {
   }
 
   const SimTime cap = sim.Now() + 120 * kSecond;
-  while (!driver.mttr_probe().complete() && sim.Now() < cap) {
+  while (!engine.mttr_probe().complete() && sim.Now() < cap) {
     sim.RunUntil(sim.Now() + 250 * kMillisecond);
   }
-  driver.Stop();
-  return driver.mttr_probe().complete()
-             ? ToSeconds(driver.mttr_probe().mttr())
+  engine.Stop();
+  return engine.mttr_probe().complete()
+             ? ToSeconds(engine.mttr_probe().mttr())
              : -1.0;
 }
 

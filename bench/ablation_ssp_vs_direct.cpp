@@ -17,7 +17,7 @@
 #include "bench_common.hpp"
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 
 namespace {
 
@@ -37,18 +37,17 @@ double Throughput(bool ssp_in_commit_path, std::uint64_t seed) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> engines;
   for (int c = 0; c < 4; ++c) {
-    workload::DriverOptions opts;
-    opts.sessions = 8;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    const auto opts = workload::LoadEngineOptions::Closed(8);
+    engines.push_back(std::make_unique<workload::LoadEngine>(
         sim, workload::MakeApi(cfs.client(c)), Mix::Mixed(), seed * 3 + c,
         opts));
-    drivers.back()->Start();
+    engines.back()->Start();
   }
   sim.RunUntil(sim.Now() + bench::BenchSeconds() * kSecond);
   double total = 0;
-  for (auto& d : drivers) {
+  for (auto& d : engines) {
     d->Stop();
     total += bench::SteadyThroughput(d->rate());
   }
@@ -69,11 +68,10 @@ double RenewTime(bool ssp_in_commit_path, std::uint64_t seed) {
   sim.RunUntil(sim.Now() + kSecond);
 
   // Build up some journal history.
-  workload::DriverOptions dopts;
-  dopts.sessions = 4;
-  workload::Driver driver(sim, workload::MakeApi(cfs.client(0)),
-                          Mix::Only(workload::OpKind::kCreate), seed, dopts);
-  driver.Start();
+  workload::LoadEngine engine(sim, workload::MakeApi(cfs.client(0)),
+                              Mix::Only(workload::OpKind::kCreate), seed,
+                              workload::LoadEngineOptions::Closed(4));
+  engine.Start();
   sim.RunUntil(sim.Now() + 5 * kSecond);
 
   // Restart a standby: it rejoins as a junior and must be renewed.
@@ -85,7 +83,7 @@ double RenewTime(bool ssp_in_commit_path, std::uint64_t seed) {
   while (victim.role() != ServerState::kStandby && sim.Now() < cap) {
     sim.RunUntil(sim.Now() + 250 * kMillisecond);
   }
-  driver.Stop();
+  engine.Stop();
   return ToSeconds(sim.Now() - down_at);
 }
 

@@ -8,9 +8,11 @@
 //   MAMS_BENCH_SEED     — base RNG seed (default 42)
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cfs.hpp"
@@ -18,7 +20,6 @@
 #include "metrics/series.hpp"
 #include "metrics/table.hpp"
 #include "sim/simulator.hpp"
-#include "workload/driver.hpp"
 #include "workload/load_engine.hpp"
 
 namespace mams::bench {
@@ -82,7 +83,7 @@ inline std::vector<workload::ClientApi> MakeApis(cluster::CfsCluster& cfs) {
   return apis;
 }
 
-/// Steady-state throughput from a driver's rate series, skipping warmup
+/// Steady-state throughput from an engine's rate series, skipping warmup
 /// and the final (partial) bucket.
 inline double SteadyThroughput(const metrics::RateSeries& rate,
                                std::size_t warmup_buckets = 2) {
@@ -102,6 +103,29 @@ inline std::uint64_t FilesForImageMb(int mb) {
 }
 inline std::uint64_t BlocksForImageMb(int mb) {
   return FilesForImageMb(mb) * 11 / 10;  // ~1.1 blocks per file
+}
+
+/// "97.95% getfileinfo / 2% listdir / ..." for the non-zero shares of
+/// `mix`, largest first — bench JSON labels come from the mix it runs.
+inline std::string MixLabel(const workload::Mix& mix) {
+  std::vector<std::pair<double, const char*>> shares = {
+      {mix.create, "create"},           {mix.mkdir, "mkdir"},
+      {mix.remove, "delete"},           {mix.rename, "rename"},
+      {mix.getfileinfo, "getfileinfo"}, {mix.listdir, "listdir"},
+      {mix.add_block, "addblock"}};
+  std::stable_sort(shares.begin(), shares.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
+                   });
+  std::string label;
+  for (const auto& [share, name] : shares) {
+    if (share <= 0) continue;
+    if (!label.empty()) label += " / ";
+    char part[40];
+    std::snprintf(part, sizeof(part), "%g%% %s", share * 100, name);
+    label += part;
+  }
+  return label;
 }
 
 inline void PrintHeader(const char* title, const char* paper_ref) {

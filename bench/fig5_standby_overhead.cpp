@@ -44,19 +44,18 @@ double RunHdfs(OpKind kind, std::uint64_t seed) {
   auto paths = bench::PreloadPaths(kPreloadFiles);
   bench::PreloadTree(hdfs.namenode().mutable_tree(), paths);
 
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> engines;
   for (int c = 0; c < 4; ++c) {
-    workload::DriverOptions opts;
-    opts.sessions = kSessionsPerClient;
-    opts.seed_files = &paths;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    const auto opts =
+        workload::LoadEngineOptions::Closed(kSessionsPerClient, &paths);
+    engines.push_back(std::make_unique<workload::LoadEngine>(
         sim, workload::MakeApi(hdfs.client(c)), Mix::Only(kind),
         seed * 7 + c, opts));
-    drivers.back()->Start();
+    engines.back()->Start();
   }
   sim.RunUntil(sim.Now() + BenchSeconds() * kSecond);
   double total = 0;
-  for (auto& d : drivers) {
+  for (auto& d : engines) {
     d->Stop();
     total += bench::SteadyThroughput(d->rate());
   }
@@ -88,19 +87,18 @@ double RunCfs(OpKind kind, int standbys, std::uint64_t seed) {
     });
   }
 
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> engines;
   for (int c = 0; c < 4; ++c) {
-    workload::DriverOptions opts;
-    opts.sessions = kSessionsPerClient;
-    opts.seed_files = &paths;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    const auto opts =
+        workload::LoadEngineOptions::Closed(kSessionsPerClient, &paths);
+    engines.push_back(std::make_unique<workload::LoadEngine>(
         sim, workload::MakeApi(cfs.client(c)), Mix::Only(kind),
         seed * 7 + c, opts));
-    drivers.back()->Start();
+    engines.back()->Start();
   }
   sim.RunUntil(sim.Now() + BenchSeconds() * kSecond);
   double total = 0;
-  for (auto& d : drivers) {
+  for (auto& d : engines) {
     d->Stop();
     total += bench::SteadyThroughput(d->rate());
   }

@@ -17,7 +17,7 @@
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
 #include "workload/client_api.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 
 namespace {
 
@@ -30,17 +30,16 @@ constexpr int kSessions = 4;
 template <typename MakeClientApi>
 double MeasureMixed(sim::Simulator& sim, MakeClientApi make_api,
                     std::uint64_t seed) {
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> engines;
   for (int c = 0; c < kClients; ++c) {
-    workload::DriverOptions opts;
-    opts.sessions = kSessions;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    const auto opts = workload::LoadEngineOptions::Closed(kSessions);
+    engines.push_back(std::make_unique<workload::LoadEngine>(
         sim, make_api(c), Mix::Mixed(), seed * 11 + c, opts));
-    drivers.back()->Start();
+    engines.back()->Start();
   }
   sim.RunUntil(sim.Now() + bench::BenchSeconds() * kSecond);
   double total = 0;
-  for (auto& d : drivers) {
+  for (auto& d : engines) {
     d->Stop();
     total += bench::SteadyThroughput(d->rate());
   }

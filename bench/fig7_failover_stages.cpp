@@ -1,9 +1,10 @@
 // Figure 7 — "The proportion of failover time at each stage in MAMS".
 //
-// Repeats the MAMS-1A3S failover many times, instruments the elected
-// standby (FailoverTrace) and the client (first successful op after the
-// switch), and reports per-stage times and proportions with the session
-// timeout excluded, exactly like the paper's figure:
+// Repeats the MAMS-1A3S failover many times, reads the elected standby's
+// `failover` trace spans (election, switch) and the client's first
+// successful op after the switch, and reports per-stage times and
+// proportions with the session timeout excluded, exactly like the paper's
+// figure:
 //
 //   * active election      — first lock bid -> lock granted (paper <100 ms)
 //   * active-standby switch— lock granted -> 6-step upgrade done
@@ -22,9 +23,7 @@
 
 #include "bench_common.hpp"
 #include "cluster/cfs.hpp"
-#include "core/failover_trace.hpp"
 #include "net/network.hpp"
-#include "workload/driver.hpp"
 
 namespace {
 
@@ -41,7 +40,7 @@ struct Trial {
 
 Trial RunTrial(std::uint64_t seed, const char* trace_out = nullptr) {
   sim::Simulator sim(seed);
-  if (trace_out != nullptr) sim.obs().tracer().set_enabled(true);
+  sim.obs().tracer().set_enabled(true);  // the stages are read from spans
   net::Network net(sim);
   cluster::CfsConfig cfg;
   cfg.groups = 1;
@@ -55,18 +54,17 @@ Trial RunTrial(std::uint64_t seed, const char* trace_out = nullptr) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  workload::DriverOptions opts;
-  opts.sessions = 2;
-  workload::Driver driver(sim, workload::MakeApi(cfs.client(0)),
-                          Mix::Only(OpKind::kCreate), seed, opts);
-  driver.Start();
+  workload::LoadEngine engine(sim, workload::MakeApi(cfs.client(0)),
+                              Mix::Only(OpKind::kCreate), seed,
+                              workload::LoadEngineOptions::Closed(2));
+  engine.Start();
   sim.RunUntil(sim.Now() + 2 * kSecond);
   cfs.FindActive(0)->Crash();
   const SimTime cap = sim.Now() + 60 * kSecond;
-  while (!driver.mttr_probe().complete() && sim.Now() < cap) {
+  while (!engine.mttr_probe().complete() && sim.Now() < cap) {
     sim.RunUntil(sim.Now() + 100 * kMillisecond);
   }
-  driver.Stop();
+  engine.Stop();
 
   if (trace_out != nullptr) {
     Status s = obs::WriteChromeTrace(sim.obs().tracer(), trace_out);
@@ -77,9 +75,8 @@ Trial RunTrial(std::uint64_t seed, const char* trace_out = nullptr) {
   }
 
   Trial t;
-  const auto& traces = cfs.failover_log().traces();
-  if (traces.empty() || !traces[0].complete() ||
-      !driver.mttr_probe().complete()) {
+  const auto traces = core::CompletedFailovers(sim.obs().tracer());
+  if (traces.empty() || !engine.mttr_probe().complete()) {
     t.total_ms = -1;
     return t;
   }
@@ -87,7 +84,8 @@ Trial RunTrial(std::uint64_t seed, const char* trace_out = nullptr) {
   t.election_ms = ToMillis(trace.ElectionTime());
   t.switch_ms = ToMillis(trace.SwitchTime());
   t.reconnect_ms =
-      ToMillis(driver.mttr_probe().first_success_after - trace.switch_completed);
+      ToMillis(engine.mttr_probe().first_success_after -
+               trace.switch_completed);
   if (t.reconnect_ms < 0) t.reconnect_ms = 0;
   t.total_ms = t.election_ms + t.switch_ms + t.reconnect_ms;
   return t;

@@ -17,7 +17,7 @@
 #include "bench_common.hpp"
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 
 namespace {
 
@@ -56,13 +56,12 @@ ScenarioResult RunScenario(const Scenario& scenario, std::uint64_t seed) {
   Mix mix;
   mix.create = 0.8;
   mix.mkdir = 0.2;
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> engines;
   for (int c = 0; c < cfg.clients; ++c) {
-    workload::DriverOptions opts;
-    opts.sessions = 4;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    const auto opts = workload::LoadEngineOptions::Closed(4);
+    engines.push_back(std::make_unique<workload::LoadEngine>(
         sim, workload::MakeApi(cfs.client(c)), mix, seed * 5 + c, opts));
-    drivers.back()->Start();
+    engines.back()->Start();
   }
 
   scenario.schedule(sim, cfs);
@@ -80,13 +79,13 @@ ScenarioResult RunScenario(const Scenario& scenario, std::uint64_t seed) {
       last_row = row;
     }
   }
-  for (auto& d : drivers) d->Stop();
+  for (auto& d : engines) d->Stop();
 
-  // Aggregate the per-second rate across all drivers.
+  // Aggregate the per-second rate across all engines.
   std::size_t buckets = 0;
-  for (auto& d : drivers) buckets = std::max(buckets, d->rate().bucket_count());
+  for (auto& d : engines) buckets = std::max(buckets, d->rate().bucket_count());
   result.rps.assign(buckets, 0.0);
-  for (auto& d : drivers) {
+  for (auto& d : engines) {
     for (std::size_t b = 0; b < d->rate().bucket_count(); ++b) {
       result.rps[b] += d->rate().RatePerSecond(b);
     }

@@ -73,17 +73,16 @@ struct ClusterRun {
     cfs->Start();
     sim.RunUntil(sim.Now() + kSecond);
 
-    std::vector<std::unique_ptr<workload::Driver>> drivers;
+    std::vector<std::unique_ptr<workload::LoadEngine>> engines;
     for (int c = 0; c < kClients; ++c) {
-      workload::DriverOptions opts;
-      opts.sessions = kSessionsPerClient;
-      drivers.push_back(std::make_unique<workload::Driver>(
+      const auto opts = workload::LoadEngineOptions::Closed(kSessionsPerClient);
+      engines.push_back(std::make_unique<workload::LoadEngine>(
           sim, workload::MakeApi(cfs->client(c)), CreateHeavyMix(),
           seed * 7 + c, opts));
-      drivers.back()->Start();
+      engines.back()->Start();
     }
     sim.RunUntil(sim.Now() + BenchSeconds() * kSecond);
-    for (auto& d : drivers) {
+    for (auto& d : engines) {
       d->Stop();
       ops_per_sec += bench::SteadyThroughput(d->rate());
     }

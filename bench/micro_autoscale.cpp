@@ -119,7 +119,7 @@ RunStats RunOnce(bool elastic, std::uint64_t seed) {
 
   RunStats stats;
   stats.burst_ops_per_sec = static_cast<double>(during) / kBurstLen;
-  stats.p99_ms = engine.latencies().Quantile(0.99);
+  stats.p99_ms = ToMillis(engine.latencies().Quantile(0.99));
   stats.failed = engine.failed();
   stats.standbys_end = cfs.CountRole(0, ServerState::kStandby);
   if (scaler != nullptr) {

@@ -218,8 +218,7 @@ int main() {
   std::fprintf(out,
                "{\n"
                "  \"cache\": {\n"
-               "    \"mix\": \"92%% getfileinfo / 3%% listdir / 2%% create / "
-               "3%% addblock\",\n"
+               "    \"mix\": \"%s\",\n"
                "    \"sessions\": %d,\n"
                "    \"standbys\": %d,\n"
                "    \"active_only_ops_per_sec\": %.1f,\n"
@@ -232,7 +231,8 @@ int main() {
                "    \"equivalence_ok\": %s\n"
                "  }\n"
                "}\n",
-               kSessions, kStandbys, base.ops_per_sec, off.ops_per_sec,
+               bench::MixLabel(HotReadMix()).c_str(), kSessions, kStandbys,
+               base.ops_per_sec, off.ops_per_sec,
                cache.ops_per_sec, vs_offload, vs_active, cache.hit_rate,
                static_cast<unsigned long long>(cache.cache_revocations),
                cache.equivalent ? "true" : "false");

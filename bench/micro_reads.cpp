@@ -73,20 +73,19 @@ RunStats RunOnce(int standbys, bool offload, std::uint64_t seed) {
     bench::PreloadTree(tree, paths);
   });
 
-  std::vector<std::unique_ptr<workload::Driver>> drivers;
+  std::vector<std::unique_ptr<workload::LoadEngine>> engines;
   for (int c = 0; c < kClients; ++c) {
-    workload::DriverOptions opts;
-    opts.sessions = kSessionsPerClient;
-    opts.seed_files = &paths;
-    drivers.push_back(std::make_unique<workload::Driver>(
+    const auto opts =
+        workload::LoadEngineOptions::Closed(kSessionsPerClient, &paths);
+    engines.push_back(std::make_unique<workload::LoadEngine>(
         sim, workload::MakeApi(cfs.client(c)), ReadHeavyMix(), seed * 7 + c,
         opts));
-    drivers.back()->Start();
+    engines.back()->Start();
   }
   sim.RunUntil(sim.Now() + BenchSeconds() * kSecond);
 
   RunStats stats;
-  for (auto& d : drivers) {
+  for (auto& d : engines) {
     d->Stop();
     stats.ops_per_sec += bench::SteadyThroughput(d->rate());
   }

@@ -20,7 +20,7 @@
 #include "bench_common.hpp"
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 
 namespace {
 
@@ -35,20 +35,18 @@ constexpr SimTime kTrialCap = 500 * kSecond;
 template <typename MakeApiFn, typename KillFn>
 double MeasureMttr(sim::Simulator& sim, MakeApiFn make_api, KillFn kill,
                    std::uint64_t seed) {
-  workload::DriverOptions opts;
-  opts.sessions = 2;
-  workload::Driver driver(sim, make_api(), Mix::Only(OpKind::kCreate), seed,
-                          opts);
-  driver.Start();
+  workload::LoadEngine engine(sim, make_api(), Mix::Only(OpKind::kCreate),
+                              seed, workload::LoadEngineOptions::Closed(2));
+  engine.Start();
   sim.RunUntil(sim.Now() + kKillAt);
   kill();
   const SimTime deadline = sim.Now() + kTrialCap;
-  while (!driver.mttr_probe().complete() && sim.Now() < deadline) {
+  while (!engine.mttr_probe().complete() && sim.Now() < deadline) {
     sim.RunUntil(sim.Now() + 250 * kMillisecond);
   }
-  driver.Stop();
-  if (!driver.mttr_probe().complete()) return -1.0;
-  return ToSeconds(driver.mttr_probe().mttr());
+  engine.Stop();
+  if (!engine.mttr_probe().complete()) return -1.0;
+  return ToSeconds(engine.mttr_probe().mttr());
 }
 
 double MamsTrial(int image_mb, std::uint64_t seed) {

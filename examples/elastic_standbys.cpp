@@ -7,7 +7,7 @@
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 
 using namespace mams;
 
@@ -29,11 +29,9 @@ int main() {
   workload::Mix mix;
   mix.create = 0.7;
   mix.getfileinfo = 0.3;
-  workload::DriverOptions dopts;
-  dopts.sessions = 4;
-  workload::Driver driver(sim, workload::MakeApi(cfs.client(0)), mix, 5,
-                          dopts);
-  driver.Start();
+  workload::LoadEngine engine(sim, workload::MakeApi(cfs.client(0)), mix, 5,
+                              workload::LoadEngineOptions::Closed(4));
+  engine.Start();
   sim.RunUntil(sim.Now() + 3 * kSecond);
 
   // Grow the group twice, under load.
@@ -52,14 +50,14 @@ int main() {
                 FormatTime(sim.Now() - t0).c_str(),
                 cfs.coord().frontend().PeekView(0).Row().c_str());
     // Pause the load briefly so in-flight batches drain, then compare.
-    driver.Stop();
+    engine.Stop();
     sim.RunUntil(sim.Now() + 2 * kSecond);
     std::printf("        namespace fingerprints match active: %s\n",
                 added.tree().Fingerprint() ==
                         cfs.FindActive(0)->tree().Fingerprint()
                     ? "yes"
                     : "NO");
-    driver.Start();
+    engine.Start();
   }
 
   // The grown group now survives a double failure.
@@ -71,9 +69,9 @@ int main() {
   std::printf("survivor elected: %s; view = [%s]\n",
               active ? active->name().c_str() : "NONE",
               cfs.coord().frontend().PeekView(0).Row().c_str());
-  driver.Stop();
+  engine.Stop();
   std::printf("client ops completed throughout: %llu (failed: %llu)\n",
-              (unsigned long long)driver.completed(),
-              (unsigned long long)driver.failed());
+              (unsigned long long)engine.completed(),
+              (unsigned long long)engine.failed());
   return 0;
 }

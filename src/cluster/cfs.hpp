@@ -18,7 +18,6 @@
 #include "cluster/client.hpp"
 #include "cluster/data_server.hpp"
 #include "coord/service.hpp"
-#include "core/failover_trace.hpp"
 #include "core/mds_server.hpp"
 #include "fsns/partition.hpp"
 #include "net/network.hpp"
@@ -68,8 +67,7 @@ class CfsCluster {
       for (int m = 0; m < members_per_group; ++m) {
         auto mds = std::make_unique<core::MdsServer>(
             network, "mds-g" + std::to_string(g) + "-" + std::to_string(m),
-            opts, coord_.frontend_id(), pool_ids_, &directory_,
-            &failover_log_);
+            opts, coord_.frontend_id(), pool_ids_, &directory_);
         groups_[g].push_back(std::move(mds));
       }
       std::vector<NodeId> member_ids;
@@ -224,7 +222,7 @@ class CfsCluster {
       auto mds = std::make_unique<core::MdsServer>(
           network_, "mds-g" + std::to_string(g) + "-add" +
                        std::to_string(groups_[g].size()),
-          opts, coord_.frontend_id(), pool_ids_, &directory_, &failover_log_);
+          opts, coord_.frontend_id(), pool_ids_, &directory_);
       groups_[g].push_back(std::move(mds));
       std::vector<NodeId> member_ids;
       for (auto& m : groups_[g]) member_ids.push_back(m->id());
@@ -302,9 +300,6 @@ class CfsCluster {
       if (base_sn != 0) mds->SetLastSn(base_sn);
     }
   }
-
-  /// Per-failover stage timestamps (fig7); owned here, not a singleton.
-  core::FailoverTraceLog& failover_log() noexcept { return failover_log_; }
 
   /// Kicks off an online migration of `slot` away from its current owner
   /// (to `dst`, or round-robin to the next group). Returns the status of
@@ -444,7 +439,6 @@ class CfsCluster {
   fsns::HashPartitioner partitioner_;
   coord::CoordEnsemble coord_;
   core::GroupDirectory directory_;
-  core::FailoverTraceLog failover_log_;
   std::vector<std::unique_ptr<storage::PoolNode>> pool_;
   std::vector<NodeId> pool_ids_;
   std::vector<std::vector<std::unique_ptr<core::MdsServer>>> groups_;

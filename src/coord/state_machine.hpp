@@ -30,7 +30,9 @@ struct Command {
   // alongside, so the coordination layer orders publications without
   // depending on the shard module's wire format.
   std::uint64_t epoch = 0;
-  std::string payload;
+  // The explicit {} lets `Command{kind, group, node, state}` omit it
+  // without -Wmissing-field-initializers.
+  std::string payload{};
 
   paxos::Value Serialize() const {
     ByteWriter w;

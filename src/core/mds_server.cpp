@@ -13,7 +13,67 @@ namespace mams::core {
 
 namespace {
 constexpr GroupId kNoParticipant = 0xffffffffu;
-}
+
+// RPC policies (net/rpc.hpp), one per call family, so retry behaviour is
+// declared here rather than in hand-rolled timers at the call sites.
+// kFetchRpc, shared with the shard engine, is in mds_server.hpp.
+
+/// Algorithm-1 election bids. Unlimited attempts paced like the paper's
+/// periodic lock polling; not idempotent because every bid redraws its
+/// random number and refreshes max_sn. The attempt timeout must ride out
+/// the coordination service's election window (2 s) plus the RPC budget.
+constexpr net::RpcPolicy kElectionBid{
+    .attempt_timeout = 4 * kSecond, .max_attempts = 0,
+    .backoff_base = 200 * kMillisecond, .backoff_multiplier = 1.0,
+    .idempotent = false};
+/// Pacing for re-running the whole join workflow (register + watch) after
+/// it is torn down mid-flight. The coordination client already retries the
+/// registration RPC itself, so this only governs the rare outer loop.
+constexpr net::RpcPolicy kJoinRetry{
+    .attempt_timeout = 2 * kSecond, .max_attempts = 0,
+    .backoff_base = kSecond, .backoff_cap = 8 * kSecond, .jitter = 0.25};
+/// Journal 2PC prepare to each standby: a single bounded attempt — an
+/// unresponsive standby is demoted and backfilled later, never waited for
+/// (that is what keeps sync latency flat in Fig. 5).
+constexpr net::RpcPolicy kSyncRpc{.attempt_timeout = 1500 * kMillisecond,
+                                  .max_attempts = 1};
+/// Step-5 re-registration round: one attempt per peer inside the gather
+/// window — peers that miss it are picked up by the renewing scan.
+constexpr net::RpcPolicy kRegisterRpc{.attempt_timeout = 250 * kMillisecond,
+                                      .max_attempts = 1};
+/// Junior-side final-sync pulls against the active during renewing:
+/// retried until the junior catches up or the renew is abandoned.
+constexpr net::RpcPolicy kRenewFetchRpc{
+    .attempt_timeout = kSecond, .max_attempts = 0,
+    .backoff_base = 500 * kMillisecond, .backoff_multiplier = 1.0};
+
+/// Retry cadence for re-appending a batch whose SSP copy failed while the
+/// sync still committed on standby acks: the pool is the recovery source
+/// for failovers, so committed batches must become durable there.
+constexpr SimTime kSspAppendRetry = 500 * kMillisecond;
+constexpr SimTime kRegisterWait = 300 * kMillisecond;  ///< step-5 gather
+/// Renewing: a junior at most this many batches behind enters the final
+/// stage; progress reports go out at this interval.
+constexpr SerialNumber kFinalSyncGap = 32;
+constexpr SimTime kRenewProgressInterval = 200 * kMillisecond;
+/// Logical bytes per SSP record when writing an image.
+constexpr std::uint64_t kImageChunkBytes = 8u << 20;
+
+/// A standby read whose min_sn is at most kMaxParkGap batches ahead of the
+/// applied sn parks until the gap closes, unless kMaxParked reads already
+/// wait; a parked read still unsatisfied after kMaxParkWait (the standby
+/// is lagging, not merely one sync behind) bounces to the active.
+constexpr SerialNumber kMaxParkGap = 64;
+constexpr std::size_t kMaxParked = 64;
+constexpr SimTime kMaxParkWait = 500 * kMillisecond;
+/// Directory lease lifetime, below the coordination session timeout (see
+/// ClientLeaseOptions). Also the backstop for lost revocation acks: a
+/// conflicting mutation's reply is held at most this long.
+constexpr SimTime kLeaseTtl = 2 * kSecond;
+/// Cap on outstanding (directory, client) grants; at the cap, reads are
+/// served without a lease rather than evicting someone else's.
+constexpr std::size_t kMaxLeaseGrants = 4096;
+}  // namespace
 
 const char* ClientOpName(ClientOp op) noexcept {
   switch (op) {
@@ -45,17 +105,40 @@ const char* ClientOpName(ClientOp op) noexcept {
   return "unknown";
 }
 
+std::vector<FailoverStages> CompletedFailovers(
+    const obs::TraceRecorder& tracer) {
+  // A `failover` span named `name` that ended with `key`=true.
+  auto ended = [](const obs::SpanRecord& s, std::string_view name,
+                  std::string_view key) {
+    return std::string_view(s.category) == "failover" && s.name == name &&
+           std::any_of(s.args.begin(), s.args.end(), [key](const auto& a) {
+             return a.key == key && a.value == "true";
+           });
+  };
+  std::vector<FailoverStages> out;
+  for (const auto& sw : tracer.spans()) {
+    if (!ended(sw, "switch", "ok")) continue;
+    // The switch opens on the same node at the instant its election won.
+    for (const auto& e : tracer.spans()) {
+      if (e.node == sw.node && e.group == sw.group && e.end == sw.begin &&
+          ended(e, "election", "won")) {
+        out.push_back({sw.node, sw.group, e.begin, e.end, sw.end});
+        break;
+      }
+    }
+  }
+  return out;
+}
+
 MdsServer::MdsServer(net::Network& network, std::string name,
                      MdsOptions options, NodeId coord,
-                     std::vector<NodeId> ssp_pool, GroupDirectory* directory,
-                     FailoverTraceLog* failover_log)
+                     std::vector<NodeId> ssp_pool, GroupDirectory* directory)
     : net::Host(network, std::move(name)),
       options_(options),
       coord_(coord),
       directory_(directory),
       rng_(network.sim().rng().Fork(Fnv1a(this->name()) | 1)),
-      obs_(&network.sim().obs()),
-      failover_log_(failover_log) {
+      obs_(&network.sim().obs()) {
   auto& metrics = obs_->metrics();
   m_.ops_served = metrics.counter("mds.ops_served");
   m_.mutations = metrics.counter("mds.mutations");
@@ -172,10 +255,10 @@ void MdsServer::OnStart() {
       // The coordination client retries the registration RPC itself, so a
       // failure here means the join workflow was torn down mid-flight
       // (watch re-arm failed, session stopped during join). Re-run the
-      // whole join, paced by the join_retry policy's backoff rather than
+      // whole join, paced by the kJoinRetry policy's backoff rather than
       // a hardcoded interval.
       const SimTime delay =
-          options_.join_retry.BackoffBeforeAttempt(++join_retries_ + 1, rng_);
+          kJoinRetry.BackoffBeforeAttempt(++join_retries_ + 1, rng_);
       MAMS_WARN("mds", "%s: join failed: %s (retrying in %s)", name().c_str(),
                 s.ToString().c_str(), FormatTime(delay).c_str());
       AfterLocal(delay, [this, initial] { OnStartRetry(initial); });
@@ -436,10 +519,6 @@ void MdsServer::MaybeStartElection(const coord::GroupView& view) {
     return;
   }
   election_in_progress_ = true;
-  trace_ = FailoverTrace{};
-  trace_.group = options_.group;
-  trace_.elected = id();
-  trace_.failure_detected = sim().Now();
   election_span_ =
       obs_->tracer().Begin("failover", "election", id(), options_.group);
   BidForLock();
@@ -447,11 +526,10 @@ void MdsServer::MaybeStartElection(const coord::GroupView& view) {
 
 void MdsServer::BidForLock() {
   if (!election_in_progress_ || !alive()) return;
-  if (trace_.election_started < 0) trace_.election_started = sim().Now();
   // The bid loop re-bids with a fresh draw whenever the coordination RPC
   // fails or a window closes without a grant while the lock is still free
   // ("each standby tries to obtain a distributed lock periodically");
-  // pacing comes from options_.election_bid. It concludes only when the
+  // pacing comes from kElectionBid. It concludes only when the
   // lock is decided — granted to us or observed held by a peer — or the
   // election is abandoned (cancel hook).
   coord_client_->BidLoop(
@@ -463,14 +541,13 @@ void MdsServer::BidForLock() {
                    ? static_cast<std::uint64_t>(rng_.Range(1, 1 << 30))
                    : 0;
       },
-      [this] { return last_sn_; }, options_.election_bid,
+      [this] { return last_sn_; }, kElectionBid,
       [this] { return !election_in_progress_ || !alive(); },
       [this](Result<coord::CoordClient::LockResult> r) {
         if (!election_in_progress_) return;
         if (!r.ok()) return;  // cancelled mid-flight
         if (r.value().granted) {
           fence_ = r.value().fence;
-          trace_.lock_granted = sim().Now();
           ++counters_.elections_won;
           m_.elections_won->Add();
           auto& tracer = obs_->tracer();
@@ -632,14 +709,14 @@ void MdsServer::UpgradeStep5Round(bool final_round) {
   for (NodeId peer : members_) {
     if (peer == id()) continue;
     net::RpcCall::Start(
-        *this, peer, req, options_.register_rpc,
+        *this, peer, req, kRegisterRpc,
         [this, peer, acks](Result<net::MessagePtr> r) {
           if (!r.ok()) return;  // dead peer: stays Down in the view
           const auto& ack = net::Cast<GroupRegisterAckMsg>(r.value());
           (*acks)[peer] = ack.max_sn;
         });
   }
-  AfterLocal(options_.register_wait, [this, acks, final_round] {
+  AfterLocal(kRegisterWait, [this, acks, final_round] {
     if (!upgrade_in_progress_) return;
     NodeId source = kInvalidNode;
     SerialNumber target_sn = last_sn_;
@@ -669,7 +746,7 @@ void MdsServer::UpgradeStep5CatchUp(NodeId source, SerialNumber target_sn) {
   req->group = options_.group;
   req->after_sn = last_sn_;
   net::RpcCall::Start(
-      *this, source, req, options_.fetch_rpc,
+      *this, source, req, kFetchRpc,
       [this, source, target_sn,
        before = last_sn_](Result<net::MessagePtr> r) {
         if (!upgrade_in_progress_) return;
@@ -711,8 +788,6 @@ void MdsServer::UpgradeStep6BecomeActive() {
   upgrade_in_progress_ = false;
   election_in_progress_ = false;
   BecomeRole(ServerState::kActive);
-  trace_.switch_completed = sim().Now();
-  if (failover_log_ != nullptr) failover_log_->Record(trace_);
   // Resume whatever shard work the previous active left durable in the
   // journal (roll migrations forward/abort them, re-drive rename intents)
   // before serving the buffered mutations, which the shard fences gate.
@@ -883,7 +958,6 @@ void MdsServer::HandleClientRequest(const net::Envelope&,
 
 void MdsServer::HandleStandbyRead(
     const std::shared_ptr<const ClientRequestMsg>& req, const ReplyFn& reply) {
-  const StandbyReadOptions& sr = options_.standby_reads;
   const SerialNumber min_sn =
       options_.test_hooks.ignore_min_sn ? 0 : req->min_sn;
   // Staleness as seen at arrival: how far this standby's applied journal
@@ -895,7 +969,7 @@ void MdsServer::HandleStandbyRead(
     return;
   }
   const SerialNumber gap = min_sn - last_sn_;
-  if (gap > sr.max_park_gap || parked_reads_.size() >= sr.max_parked) {
+  if (gap > kMaxParkGap || parked_reads_.size() >= kMaxParked) {
     BounceRead(reply, "standby behind session floor");
     return;
   }
@@ -905,7 +979,7 @@ void MdsServer::HandleStandbyRead(
   m_.standby_reads_parked->Add();
   const std::uint64_t token = ++parked_token_seq_;
   parked_reads_.emplace(min_sn, ParkedRead{req, reply, token});
-  AfterLocal(sr.max_park_wait, [this, token] {
+  AfterLocal(kMaxParkWait, [this, token] {
     for (auto it = parked_reads_.begin(); it != parked_reads_.end(); ++it) {
       if (it->second.token != token) continue;
       ReplyFn reply = std::move(it->second.reply);
@@ -976,8 +1050,8 @@ void MdsServer::FlushParkedReads(const char* why) {
 
 void MdsServer::MaybeGrantLease(const ClientRequestMsg& req,
                                 ClientResponseMsg& out) {
-  const ClientLeaseOptions& cl = options_.client_leases;
-  if (!cl.grant_leases || role_ != ServerState::kActive || !out.ok ||
+  if (!options_.client_leases.grant_leases ||
+      role_ != ServerState::kActive || !out.ok ||
       req.requester == kInvalidNode) {
     return;
   }
@@ -988,7 +1062,8 @@ void MdsServer::MaybeGrantLease(const ClientRequestMsg& req,
   // under-approximates the contact instant, so this check is conservative
   // even while partitioned.
   const SimTime now = sim().Now();
-  if (now + cl.ttl > coord_client_->last_ack_time() + options_.session_timeout)
+  if (now + kLeaseTtl >
+      coord_client_->last_ack_time() + options_.session_timeout)
     return;
   const std::string dir = req.op == ClientOp::kListDir
                               ? req.path
@@ -997,7 +1072,7 @@ void MdsServer::MaybeGrantLease(const ClientRequestMsg& req,
   auto& holders = leases_[dir];
   auto it = holders.find(req.requester);
   if (it == holders.end()) {
-    if (lease_count_ >= cl.max_grants) {
+    if (lease_count_ >= kMaxLeaseGrants) {
       if (holders.empty()) leases_.erase(dir);
       return;  // at capacity: serve unleased rather than evict someone else
     }
@@ -1008,7 +1083,7 @@ void MdsServer::MaybeGrantLease(const ClientRequestMsg& req,
     ++counters_.leases_granted;
     m_.leases_granted->Add();
   }
-  it->second.expire_at = std::max(it->second.expire_at, now + cl.ttl);
+  it->second.expire_at = std::max(it->second.expire_at, now + kLeaseTtl);
   out.lease_dir = dir;
   out.lease_id = it->second.id;
   out.lease_epoch = view_.fence_token;
@@ -1280,7 +1355,7 @@ void MdsServer::ProcessClientRequest(
       auto leg = std::make_shared<ClientRequestMsg>(*req);
       leg->tx_participant = true;
       net::RpcCall::Start(
-          *this, peer, leg, options_.fetch_rpc,
+          *this, peer, leg, kFetchRpc,
           [this, req, wrapped](Result<net::MessagePtr> r) {
             if (!r.ok()) {
               ReplyStatus(wrapped,
@@ -1505,7 +1580,7 @@ void MdsServer::StartBatchSync(std::shared_ptr<const journal::Batch> batch,
   for (NodeId peer : ps.awaiting) {
     AfterLocal(ChargeCpu(per_target), [this, peer, sn, msg] {
       net::RpcCall::Start(
-          *this, peer, msg, options_.sync_rpc,
+          *this, peer, msg, kSyncRpc,
           [this, peer, sn](Result<net::MessagePtr> r) {
             auto it = pending_sync_.find(sn);
             if (it == pending_sync_.end()) return;
@@ -1591,7 +1666,7 @@ void MdsServer::FinalizeCompletedSyncs() {
         // what a future failover drains, so keep re-appending until the
         // copy is durable (or we are deposed and the new active
         // reconciles).
-        AfterLocal(options_.ssp_append_retry,
+        AfterLocal(kSspAppendRetry,
                    [this, sn] { RetrySspAppend(sn); });
       }
       if (ps.acks == 0 && !ps.ssp_ok) {
@@ -1649,7 +1724,7 @@ void MdsServer::RetrySspAppend(SerialNumber sn) {
   record.bytes = batch->Serialize();
   ssp_->Append(JournalFile(), std::move(record), [this, sn](Status s) {
     if (s.ok() || role_ != ServerState::kActive || !alive()) return;
-    AfterLocal(options_.ssp_append_retry, [this, sn] { RetrySspAppend(sn); });
+    AfterLocal(kSspAppendRetry, [this, sn] { RetrySspAppend(sn); });
   });
 }
 
@@ -1807,7 +1882,7 @@ void MdsServer::RequestBackfill(NodeId from) {
   auto req = std::make_shared<RenewJournalFetchMsg>();
   req->group = options_.group;
   req->after_sn = last_sn_;
-  net::RpcCall::Start(*this, from, req, options_.fetch_rpc,
+  net::RpcCall::Start(*this, from, req, kFetchRpc,
                       [this](Result<net::MessagePtr> r) {
                         backfill_inflight_ = false;
                         if (!r.ok()) return;
@@ -1884,7 +1959,7 @@ void MdsServer::HandleRenewProgress(const net::Envelope& env,
 void MdsServer::FinishRenewTarget(NodeId junior, SerialNumber reported_sn) {
   const SerialNumber gap =
       last_sn_ >= reported_sn ? last_sn_ - reported_sn : 0;
-  if (gap > options_.final_sync_gap) return;  // keep catching up
+  if (gap > kFinalSyncGap) return;  // keep catching up
 
   // Final synchronization: include the junior in live replication and
   // resend whatever recent batches it may still miss (sn-deduped).
@@ -1957,7 +2032,7 @@ void MdsServer::HandleRenewCommand(const net::MessagePtr& msg) {
 
   if (!renew_progress_timer_) {
     renew_progress_timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim(), options_.renew_progress_interval,
+        sim(), kRenewProgressInterval,
         [this] { SendRenewProgress(); });
     renew_progress_timer_->Start();
   }
@@ -2103,14 +2178,14 @@ void MdsServer::RenewFinalSync() {
   auto req = std::make_shared<RenewJournalFetchMsg>();
   req->group = options_.group;
   req->after_sn = last_sn_;
-  // Retried under renew_fetch_rpc until the active answers or the renewal
+  // Retried under kRenewFetchRpc until the active answers or the renewal
   // is abandoned (role change, abort); a crash forgets the call outright.
   net::RpcHooks hooks;
   hooks.cancelled = [this] {
     return role_ != ServerState::kJunior || !renew_.running;
   };
   net::RpcCall::Start(
-      *this, active, req, options_.renew_fetch_rpc,
+      *this, active, req, kRenewFetchRpc,
       [this](Result<net::MessagePtr> r) {
         if (role_ != ServerState::kJunior || !renew_.running) return;
         if (!r.ok()) return;  // cancelled mid-retry
@@ -2125,7 +2200,7 @@ void MdsServer::RenewFinalSync() {
         }
         ApplyReadyBatches();
         renew_.target_sn = resp.active_sn;
-        if (resp.active_sn > last_sn_ + options_.final_sync_gap) {
+        if (resp.active_sn > last_sn_ + kFinalSyncGap) {
           RenewFinalSync();  // still chasing the live stream
           return;
         }
@@ -2157,9 +2232,8 @@ void MdsServer::WriteCheckpoint() {
        {"bytes", static_cast<std::uint64_t>(bytes->size())}});
   const std::uint64_t logical = static_cast<std::uint64_t>(
       static_cast<double>(bytes->size()) * options_.image_inflation);
-  const std::uint64_t chunk_logical = options_.image_chunk_bytes;
   const std::size_t chunks = std::max<std::size_t>(
-      1, (logical + chunk_logical - 1) / chunk_logical);
+      1, (logical + kImageChunkBytes - 1) / kImageChunkBytes);
   // Write chunks sequentially; each record carries an even slice of the
   // real bytes and an even share of the logical size.
   auto write_chunk = std::make_shared<std::function<void(std::size_t)>>();

@@ -27,13 +27,13 @@
 #include <vector>
 
 #include "coord/client.hpp"
-#include "core/failover_trace.hpp"
 #include "core/messages.hpp"
 #include "core/options.hpp"
 #include "fsns/blockmap.hpp"
 #include "fsns/tree.hpp"
 #include "journal/writer.hpp"
 #include "net/host.hpp"
+#include "net/rpc.hpp"
 #include "obs/observability.hpp"
 #include "storage/ssp.hpp"
 
@@ -51,14 +51,36 @@ struct GroupDirectory {
   }
 };
 
+/// One-shot fetches (journal backfill, cross-group tx legs, shard
+/// migration legs): callers have their own recovery story, so no retries.
+inline constexpr net::RpcPolicy kFetchRpc{.attempt_timeout = kSecond,
+                                          .max_attempts = 1};
+
+/// One completed failover, read back from the `failover` spans MdsServer
+/// records (Fig. 7); the tracer must be on for the run. The election span
+/// begins when the standby sees the active gone and sends its first bid,
+/// and ends with won=true when the lock is granted. The switch span begins
+/// there and ends with ok=true once the 6-step upgrade is done.
+struct FailoverStages {
+  NodeId elected = kInvalidNode;
+  GroupId group = 0;
+  SimTime election_started = 0;
+  SimTime lock_granted = 0;
+  SimTime switch_completed = 0;
+
+  SimTime ElectionTime() const { return lock_granted - election_started; }
+  SimTime SwitchTime() const { return switch_completed - lock_granted; }
+};
+
+/// Every completed failover in `tracer`, in completion order.
+std::vector<FailoverStages> CompletedFailovers(
+    const obs::TraceRecorder& tracer);
+
 class MdsServer : public net::Host {
  public:
-  /// `failover_log` (optional) collects per-failover stage timestamps for
-  /// the fig7 bench; the owner is the cluster/scenario, never a singleton.
   MdsServer(net::Network& network, std::string name, MdsOptions options,
             NodeId coord, std::vector<NodeId> ssp_pool,
-            GroupDirectory* directory,
-            FailoverTraceLog* failover_log = nullptr);
+            GroupDirectory* directory);
   ~MdsServer() override;
 
   /// All group members (node ids), including this server. Must be set
@@ -495,8 +517,7 @@ class MdsServer : public net::Host {
   // --- election/upgrade state -------------------------------------------------
   bool election_in_progress_ = false;
   bool upgrade_in_progress_ = false;
-  int join_retries_ = 0;  ///< feeds join_retry backoff; reset on success
-  FailoverTrace trace_;
+  int join_retries_ = 0;  ///< feeds kJoinRetry backoff; reset on success
   std::deque<std::pair<std::shared_ptr<const ClientRequestMsg>, ReplyFn>>
       buffered_requests_;
 
@@ -604,7 +625,6 @@ class MdsServer : public net::Host {
   obs::TraceRecorder::Span renew_span_;
   obs::TraceRecorder::Span renew_phase_span_;
   obs::TraceRecorder::Span checkpoint_span_;
-  FailoverTraceLog* failover_log_;
 };
 
 }  // namespace mams::core

@@ -16,6 +16,18 @@
 
 namespace mams::core {
 
+namespace {
+/// Records per transfer chunk streamed to the destination active.
+constexpr std::size_t kMigrationChunkRecords = 32;
+/// Cutover drain poll cadence and bound: the source waits for its writer
+/// and in-flight syncs to drain before shipping the final delta chunk.
+constexpr SimTime kMigrationDrainPoll = 50 * kMillisecond;
+constexpr int kMigrationDrainPolls = 40;
+/// Pacing for migration RPC retries (chunk resend, control resend, map
+/// publication) — each awaits the peer group's next active.
+constexpr SimTime kMigrationRetryDelay = 500 * kMillisecond;
+}  // namespace
+
 // --- partition map ------------------------------------------------------------
 
 void MdsServer::AdoptMap(std::uint64_t epoch, const std::vector<char>& bytes) {
@@ -306,7 +318,7 @@ void MdsServer::SnapshotShard(MigrationDrive& d) {
   std::vector<journal::LogRecord> cur;
   tree_.ForEachNode([&](const std::string& path, const fsns::Inode& node) {
     if (map_.SlotOf(path) != slot) return;
-    if (cur.size() >= options_.migration_chunk_records) {
+    if (cur.size() >= kMigrationChunkRecords) {
       d.chunks.push_back(std::move(cur));
       cur.clear();
     }
@@ -326,7 +338,7 @@ void MdsServer::SendNextChunk(std::uint32_t slot) {
   }
   const TxId mid = d.migration_id;
   auto retry = [this, slot, mid] {
-    AfterLocal(options_.migration_retry_delay, [this, slot, mid] {
+    AfterLocal(kMigrationRetryDelay, [this, slot, mid] {
       auto it = drives_.find(slot);
       if (it == drives_.end() || it->second.migration_id != mid) return;
       SendNextChunk(slot);
@@ -344,7 +356,7 @@ void MdsServer::SendNextChunk(std::uint32_t slot) {
   msg->seq = d.next_seq;
   msg->records = d.chunks[d.next_chunk];
   net::RpcCall::Start(
-      *this, peer, msg, options_.fetch_rpc,
+      *this, peer, msg, kFetchRpc,
       [this, slot, mid, retry](Result<net::MessagePtr> r) {
         auto it = drives_.find(slot);
         if (it == drives_.end() || it->second.migration_id != mid) return;
@@ -385,7 +397,7 @@ void MdsServer::StartCutover(std::uint32_t slot) {
   // revocations to drain before the destination starts serving.
   RevokeSlotLeases(slot);
   d.stats.fence_time = sim().Now();
-  DrainThenShip(slot, options_.migration_drain_polls);
+  DrainThenShip(slot, kMigrationDrainPolls);
 }
 
 void MdsServer::DrainThenShip(std::uint32_t slot, int polls_left) {
@@ -403,7 +415,7 @@ void MdsServer::DrainThenShip(std::uint32_t slot, int polls_left) {
     ShipFinalChunk(slot);
     return;
   }
-  AfterLocal(options_.migration_drain_poll, [this, slot, polls_left] {
+  AfterLocal(kMigrationDrainPoll, [this, slot, polls_left] {
     DrainThenShip(slot, polls_left - 1);
   });
 }
@@ -465,11 +477,11 @@ void MdsServer::ShipFinalChunk(std::uint32_t slot) {
     const NodeId peer = directory_ ? directory_->Active(it->second.dst)
                                    : kInvalidNode;
     if (peer == kInvalidNode) {
-      AfterLocal(options_.migration_retry_delay, [send] { (*send)(); });
+      AfterLocal(kMigrationRetryDelay, [send] { (*send)(); });
       return;
     }
     net::RpcCall::Start(
-        *this, peer, msg, options_.fetch_rpc,
+        *this, peer, msg, kFetchRpc,
         [this, slot, mid, send](Result<net::MessagePtr> r) {
           auto it = drives_.find(slot);
           if (it == drives_.end() || it->second.migration_id != mid) return;
@@ -481,7 +493,7 @@ void MdsServer::ShipFinalChunk(std::uint32_t slot) {
                        r.ok()
                            ? net::Cast<ShardTransferAckMsg>(r.value()).error.c_str()
                            : r.status().ToString().c_str());
-            AfterLocal(options_.migration_retry_delay, [send] { (*send)(); });
+            AfterLocal(kMigrationRetryDelay, [send] { (*send)(); });
             return;
           }
           ++it->second.stats.chunks;
@@ -516,7 +528,7 @@ void MdsServer::SendActivate(std::uint32_t slot) {
     // window, so this never stalls a migration indefinitely. (A crash-
     // resumed migration skips this: the crash dropped the grant table, and
     // the successor's election already outwaited every possible TTL.)
-    AfterLocal(options_.migration_drain_poll, [this, slot, mid] {
+    AfterLocal(kMigrationDrainPoll, [this, slot, mid] {
       auto it2 = drives_.find(slot);
       if (it2 == drives_.end() || it2->second.migration_id != mid) return;
       SendActivate(slot);
@@ -524,7 +536,7 @@ void MdsServer::SendActivate(std::uint32_t slot) {
     return;
   }
   auto retry = [this, slot, mid] {
-    AfterLocal(options_.migration_retry_delay, [this, slot, mid] {
+    AfterLocal(kMigrationRetryDelay, [this, slot, mid] {
       auto it = drives_.find(slot);
       if (it == drives_.end() || it->second.migration_id != mid) return;
       SendActivate(slot);
@@ -542,7 +554,7 @@ void MdsServer::SendActivate(std::uint32_t slot) {
   msg->slot = slot;
   msg->migration_id = mid;
   net::RpcCall::Start(
-      *this, peer, msg, options_.fetch_rpc,
+      *this, peer, msg, kFetchRpc,
       [this, slot, mid, retry](Result<net::MessagePtr> r) {
         auto it = drives_.find(slot);
         if (it == drives_.end() || it->second.migration_id != mid) return;
@@ -567,7 +579,7 @@ void MdsServer::PublishMapForSlot(std::uint32_t slot) {
   const TxId mid = it->second.migration_id;
   const GroupId dst = it->second.dst;
   auto retry = [this, slot, mid] {
-    AfterLocal(options_.migration_retry_delay, [this, slot, mid] {
+    AfterLocal(kMigrationRetryDelay, [this, slot, mid] {
       auto it = drives_.find(slot);
       if (it == drives_.end() || it->second.migration_id != mid) return;
       PublishMapForSlot(slot);
@@ -652,7 +664,7 @@ void MdsServer::SendAbortToDst(std::uint32_t slot, TxId migration_id,
                                GroupId dst) {
   if (role_ != ServerState::kActive || !alive()) return;
   auto retry = [this, slot, migration_id, dst] {
-    AfterLocal(options_.migration_retry_delay, [this, slot, migration_id, dst] {
+    AfterLocal(kMigrationRetryDelay, [this, slot, migration_id, dst] {
       SendAbortToDst(slot, migration_id, dst);
     });
   };
@@ -668,7 +680,7 @@ void MdsServer::SendAbortToDst(std::uint32_t slot, TxId migration_id,
   msg->from_group = options_.group;
   msg->slot = slot;
   msg->migration_id = migration_id;
-  net::RpcCall::Start(*this, peer, msg, options_.fetch_rpc,
+  net::RpcCall::Start(*this, peer, msg, kFetchRpc,
                       [this, retry](Result<net::MessagePtr> r) {
                         if (role_ != ServerState::kActive || !alive()) return;
                         if (!r.ok() ||
@@ -804,7 +816,7 @@ void MdsServer::ArmInboundWatchdog(std::uint32_t slot) {
   // Covers a source that decided (cutover, abort) or vanished without
   // telling us: periodically ask the source group's active what its journal
   // says happened and converge on that verdict.
-  AfterLocal(4 * options_.migration_retry_delay, [this, slot] {
+  AfterLocal(4 * kMigrationRetryDelay, [this, slot] {
     if (role_ != ServerState::kActive || !alive()) return;
     const fsns::Tree::ShardState& sh = tree_.shard();
     auto ib = sh.inbound.find(slot);
@@ -822,7 +834,7 @@ void MdsServer::ArmInboundWatchdog(std::uint32_t slot) {
     q->slot = slot;
     q->migration_id = mid;
     net::RpcCall::Start(
-        *this, peer, q, options_.fetch_rpc,
+        *this, peer, q, kFetchRpc,
         [this, slot, mid](Result<net::MessagePtr> r) {
           if (role_ != ServerState::kActive || !alive()) return;
           const fsns::Tree::ShardState& sh = tree_.shard();
@@ -1011,7 +1023,7 @@ void MdsServer::SendRenameCommit(const std::string& src) {
   }
   const fsns::Tree::ShardState::RenameIntent& intent = in->second;
   auto retry = [this, src] {
-    AfterLocal(options_.migration_retry_delay,
+    AfterLocal(kMigrationRetryDelay,
                [this, src] { SendRenameCommit(src); });
   };
   const NodeId peer =
@@ -1044,7 +1056,7 @@ void MdsServer::SendRenameCommit(const std::string& src) {
   msg->blocks = node->blocks;
   it->second.inflight = true;
   net::RpcCall::Start(
-      *this, peer, msg, options_.fetch_rpc,
+      *this, peer, msg, kFetchRpc,
       [this, src, retry](Result<net::MessagePtr> r) {
         if (role_ != ServerState::kActive || !alive()) return;
         auto it = rename_drives_.find(src);

@@ -1,11 +1,12 @@
 // Tunables for a MAMS metadata server. Defaults mirror the paper's
 // testbed (Section IV): 2 s heartbeats, 5 s session timeout, aggregated
-// asynchronous journaling, SSP-backed synchronization.
+// asynchronous journaling, SSP-backed synchronization. Values that no
+// configuration varies (RPC policies, retry delays, chunk sizes, park and
+// lease bounds) are constants in mds_server.cpp / mds_shard.cpp.
 #pragma once
 
 #include "common/types.hpp"
 #include "journal/writer.hpp"
-#include "net/rpc.hpp"
 #include "shard/partition_map.hpp"
 #include "storage/ssp.hpp"
 
@@ -70,17 +71,9 @@ struct TestHooks {
 /// Standby read offload (session-consistent reads against hot standbys).
 struct StandbyReadOptions {
   /// Master switch: standbys answer GetFileInfo/ListDir instead of
-  /// bouncing every client request to the active.
+  /// bouncing every client request to the active. The park bounds (gap
+  /// 64 batches, 64 reads, 500 ms wait) are constants in mds_server.cpp.
   bool serve_reads = false;
-  /// A read whose min_sn is at most this many batches ahead of the
-  /// standby's applied sn parks in a wait-queue until the gap closes;
-  /// larger gaps bounce to the active immediately.
-  SerialNumber max_park_gap = 64;
-  /// Bound on the parked-read queue; overflow bounces.
-  std::size_t max_parked = 64;
-  /// A parked read that has not been satisfied after this long bounces to
-  /// the active (the standby is lagging, not merely behind by one sync).
-  SimTime max_park_wait = 500 * kMillisecond;
 };
 
 /// Per-directory client cache leases issued by the active (off by default).
@@ -90,18 +83,13 @@ struct StandbyReadOptions {
 /// or a successor active (which starts lease-free) could commit conflicting
 /// mutations while a client still trusts its cache. Grants are therefore
 /// issued only while `now + ttl <= last confirmed session contact +
-/// session_timeout`, and `ttl` must stay below the coordination session
-/// timeout (5 s) for that window to ever be open.
+/// session_timeout`, and the ttl (2 s, kLeaseTtl in mds_server.cpp, as is
+/// the 4096-grant cap) must stay below the coordination session timeout
+/// (5 s) for that window to ever be open.
 struct ClientLeaseOptions {
   /// Master switch: active-served GetFileInfo/ListDir replies carry a
   /// directory lease for the read's parent (stat) or target (listdir).
   bool grant_leases = false;
-  /// Lease lifetime. Also the backstop for lost revocation acks: a
-  /// conflicting mutation's reply is held at most this long.
-  SimTime ttl = 2 * kSecond;
-  /// Bound on outstanding (directory, client) grants; at the cap, reads
-  /// are served without a lease rather than evicting someone else's.
-  std::size_t max_grants = 4096;
 };
 
 struct MdsOptions {
@@ -113,17 +101,6 @@ struct MdsOptions {
   /// server's current map attached.
   shard::PartitionMap partition_map;
 
-  // Shard migration engine.
-  /// Records per transfer chunk streamed to the destination active.
-  std::size_t migration_chunk_records = 32;
-  /// Cutover drain poll cadence and bound: the source waits for its writer
-  /// and in-flight syncs to drain before shipping the final delta chunk.
-  SimTime migration_drain_poll = 50 * kMillisecond;
-  int migration_drain_polls = 40;
-  /// Pacing for migration RPC retries (chunk resend, control resend, map
-  /// publication) — each awaits the peer group's next active.
-  SimTime migration_retry_delay = 500 * kMillisecond;
-
   // Namespace resolution.
   /// Entries in the tree's LRU path->inode resolution cache; 0 disables
   /// (the cache-off ablation measured by bench/micro_namespace). Keep it
@@ -133,36 +110,6 @@ struct MdsOptions {
   // Coordination (paper Section IV.B).
   SimTime heartbeat_interval = 2 * kSecond;
   SimTime session_timeout = 5 * kSecond;
-
-  // --- RPC policies (net/rpc.hpp) ----------------------------------------
-  // One policy per call family; all retry behaviour is declared here
-  // instead of hand-rolled timers at the call sites.
-
-  /// Algorithm-1 election bids. Unlimited attempts paced like the paper's
-  /// periodic lock polling; not idempotent because every bid redraws its
-  /// random number and refreshes max_sn. The attempt timeout must ride out
-  /// the coordination service's election window (2 s) plus the RPC budget.
-  net::RpcPolicy election_bid{
-      .attempt_timeout = 4 * kSecond,
-      .max_attempts = 0,
-      .backoff_base = 200 * kMillisecond,
-      .backoff_multiplier = 1.0,
-      .jitter = 0.0,
-      .idempotent = false,
-  };
-
-  /// Pacing for re-running the whole join workflow (register + watch)
-  /// after it is torn down mid-flight. The coordination client already
-  /// retries the registration RPC itself, so this backoff only governs
-  /// the rare outer loop that used to be a hardcoded 1 s timer.
-  net::RpcPolicy join_retry{
-      .attempt_timeout = 2 * kSecond,
-      .max_attempts = 0,
-      .backoff_base = kSecond,
-      .backoff_multiplier = 2.0,
-      .backoff_cap = 8 * kSecond,
-      .jitter = 0.25,
-  };
 
   // Journal synchronization.
   journal::Writer::Options writer;
@@ -183,59 +130,18 @@ struct MdsOptions {
   /// Live standby apply is not CPU-charged either way (unchanged).
   int apply_threads = 4;
 
-  /// Journal 2PC prepare to each standby: a single bounded attempt — an
-  /// unresponsive standby is demoted and backfilled later, never waited
-  /// for (that is what keeps sync latency flat in Fig. 5).
-  net::RpcPolicy sync_rpc{
-      .attempt_timeout = 1500 * kMillisecond,
-      .max_attempts = 1,
-  };
-
   storage::SspOptions ssp;
   /// When true (MAMS as specified) a batch completes only after the SSP
   /// copy is durable; false writes the SSP copy asynchronously (the
   /// ablation_ssp_vs_direct variant).
   bool ssp_in_commit_path = true;
-  /// Retry cadence for re-appending a batch whose SSP copy failed while the
-  /// sync still committed on standby acks: the pool is the recovery source
-  /// for failovers, so committed batches must become durable there.
-  SimTime ssp_append_retry = 500 * kMillisecond;
-
-  // Failover protocol.
-  SimTime register_wait = 300 * kMillisecond;   ///< step-5 gather window
-  /// Step-5 re-registration round: one attempt per peer inside the gather
-  /// window — peers that miss it are picked up by the renewing scan.
-  net::RpcPolicy register_rpc{
-      .attempt_timeout = 250 * kMillisecond,
-      .max_attempts = 1,
-  };
-
-  /// One-shot fetches (journal backfill, cross-group tx legs): callers
-  /// have their own recovery story, so no retries here.
-  net::RpcPolicy fetch_rpc{
-      .attempt_timeout = kSecond,
-      .max_attempts = 1,
-  };
 
   // Renewing protocol (Section III.D).
   SimTime renew_scan_period = 1 * kSecond;
   SerialNumber image_gap_threshold = 512;  ///< batches behind -> image first
-  SerialNumber final_sync_gap = 32;        ///< batches behind -> final stage
-  SimTime renew_progress_interval = 200 * kMillisecond;
-
-  /// Junior-side final-sync pulls against the active during renewing:
-  /// retried until the junior catches up or the renew is abandoned.
-  net::RpcPolicy renew_fetch_rpc{
-      .attempt_timeout = kSecond,
-      .max_attempts = 0,
-      .backoff_base = 500 * kMillisecond,
-      .backoff_multiplier = 1.0,
-      .jitter = 0.0,
-  };
 
   // Checkpointing.
   SimTime checkpoint_interval = 30 * kSecond;
-  std::uint64_t image_chunk_bytes = 8u << 20;
   /// Multiplies the real serialized image size in the timing model, letting
   /// benches emulate the paper's multi-GB images without materializing
   /// millions of inodes (EXPERIMENTS.md, "image scaling"). 1 = honest.

@@ -43,8 +43,8 @@ struct ClientApi {
 /// Dispatches one generated Op through the facade, collapsing every typed
 /// result to its Status and applying the capability fallbacks (ListDir and
 /// AddBlock degrade to getfileinfo, the universal read). Shared by the
-/// closed-loop driver and the open-loop load engine so both issue the
-/// exact same call sequence for a given op stream.
+/// load engine's closed and open loops so both issue the exact same call
+/// sequence for a given op stream.
 inline void IssueOp(ClientApi& api, const Op& op, ClientApi::Cb done) {
   auto info_done = [&](ClientApi::Cb cb) -> ClientApi::InfoCb {
     return [cb = std::move(cb)](Result<fsns::FileInfo> r) { cb(r.status()); };

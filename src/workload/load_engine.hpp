@@ -4,9 +4,10 @@
 //
 //   * closed loop — a fixed session pool, each keeping exactly one op in
 //     flight (the paper's "multiple clients on different nodes provide
-//     the workload"). Semantics are identical to the original
-//     workload::Driver, which is now a thin wrapper over this path, so
-//     every figure bench keeps its numbers and its run digest.
+//     the workload"). Every figure bench drives its load this way
+//     (LoadEngineOptions::Closed). The engine records completion rates,
+//     latencies and, for MTTR, the first failure and the first success
+//     after it (Section IV.B's definition).
 //
 //   * open loop — sessions arrive at a rate λ(t) given by an
 //     ArrivalCurve (constant / diurnal / flash-crowd), run a short op
@@ -30,6 +31,7 @@
 
 #include "common/types.hpp"
 #include "metrics/series.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "workload/arrival.hpp"
 #include "workload/client_api.hpp"
@@ -66,6 +68,17 @@ struct LoadEngineOptions {
   /// Requires `group_of` to classify a directory path to its owner group.
   std::vector<double> group_weights;
   std::function<GroupId(const std::string&)> group_of;
+
+  /// Closed loop over `sessions` sessions, optionally warm-started from
+  /// `seed_files`.
+  static LoadEngineOptions Closed(
+      int sessions, const std::vector<std::string>* seed_files = nullptr) {
+    LoadEngineOptions o;
+    o.loop = Loop::kClosed;
+    o.sessions = sessions;
+    o.seed_files = seed_files;
+    return o;
+  }
 };
 
 class LoadEngine {
@@ -147,7 +160,8 @@ class LoadEngine {
   std::uint64_t completed() const noexcept { return completed_; }
   std::uint64_t failed() const noexcept { return failed_; }
   const metrics::RateSeries& rate() const noexcept { return rate_; }
-  metrics::Cdf& latencies() noexcept { return latencies_; }
+  /// Latency of every served op, in virtual ns.
+  const obs::Histogram& latencies() const noexcept { return latencies_; }
 
   double Throughput() const {
     const double secs = ToSeconds(sim_.Now() - start_time_);
@@ -155,10 +169,8 @@ class LoadEngine {
   }
 
   const MttrProbe& mttr_probe() const noexcept { return probe_; }
-  void ResetMttrProbe() { probe_ = MttrProbe{}; }
 
   // --- open-loop scale counters ------------------------------------------
-  std::uint64_t sessions_started() const noexcept { return started_; }
   std::uint64_t sessions_finished() const noexcept { return finished_; }
   std::uint64_t live_sessions() const noexcept { return started_ - finished_; }
   std::uint64_t peak_live_sessions() const noexcept { return peak_live_; }
@@ -185,7 +197,7 @@ class LoadEngine {
     return v;
   }
 
-  // --- closed loop (exactly the original Driver) -------------------------
+  // --- closed loop -------------------------------------------------------
   void IssueClosed(int session) {
     if (!running_) return;
     const Op op =
@@ -405,7 +417,7 @@ class LoadEngine {
     if (service_ok) {
       ++completed_;
       rate_.Record(now);
-      latencies_.Record(ToMillis(now - issued));
+      latencies_.Record(now - issued);
       if (probe_.first_failure >= 0 && probe_.first_success_after < 0) {
         probe_.first_success_after = now;
       }
@@ -442,7 +454,7 @@ class LoadEngine {
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   metrics::RateSeries rate_;
-  metrics::Cdf latencies_;
+  obs::Histogram latencies_;
   MttrProbe probe_;
 };
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cluster/cfs.hpp"
-#include "core/failover_trace.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
@@ -155,6 +154,7 @@ TEST_F(ClusterTest, ActiveCrashTriggersElectionAndFailover) {
   core::MdsServer* old_active = cluster_->FindActive(0);
   ASSERT_NE(old_active, nullptr);
 
+  sim_->obs().tracer().set_enabled(true);
   old_active->Crash();
   Run(10 * kSecond);  // session timeout (5 s) + election + switch
 
@@ -170,9 +170,9 @@ TEST_F(ClusterTest, ActiveCrashTriggersElectionAndFailover) {
   EXPECT_TRUE(CreateFile("/post").ok());
 
   // Exactly one failover was traced, with sub-second election+switch.
-  const auto& traces = cluster_->failover_log().traces();
+  const auto traces = core::CompletedFailovers(sim_->obs().tracer());
   ASSERT_EQ(traces.size(), 1u);
-  EXPECT_TRUE(traces[0].complete());
+  EXPECT_EQ(traces[0].elected, new_active->id());
   EXPECT_LT(traces[0].ElectionTime(), 500 * kMillisecond);
   EXPECT_LT(traces[0].SwitchTime(), kSecond);
 }

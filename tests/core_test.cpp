@@ -1,16 +1,16 @@
 // Focused tests for MAMS core-protocol behaviours that the integration
 // suite doesn't pin down individually: checkpointing to the SSP, the
 // image-first renewing path, IO fencing of deposed actives, demotion of
-// unresponsive standbys, and failover-trace bookkeeping.
+// unresponsive standbys, and the failover stages read from trace spans.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cluster/cfs.hpp"
-#include "core/failover_trace.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 
 namespace mams::core {
 namespace {
@@ -157,18 +157,69 @@ TEST_F(CoreTest, FailoverTraceStagesAreOrdered) {
   cfg.data_servers = 1;
   Build(cfg);
   ASSERT_TRUE(CreateFile("/t/1").ok());
+  sim_->obs().tracer().set_enabled(true);
+  const SimTime crash_at = sim_->Now();
   cfs_->FindActive(0)->Crash();
   Run(12 * kSecond);
-  const auto& traces = cfs_->failover_log().traces();
+  const auto traces = CompletedFailovers(sim_->obs().tracer());
   ASSERT_EQ(traces.size(), 1u);
   const auto& t = traces[0];
-  ASSERT_TRUE(t.complete());
-  EXPECT_LE(t.failure_detected, t.election_started);
+  EXPECT_LE(crash_at, t.election_started);
   EXPECT_LT(t.election_started, t.lock_granted);
   EXPECT_LT(t.lock_granted, t.switch_completed);
   // Paper's figure: election < 100 ms is typical; switch a few hundred ms.
   EXPECT_LT(ToMillis(t.ElectionTime()), 500.0);
   EXPECT_LT(ToMillis(t.SwitchTime()), 1000.0);
+}
+
+// Fig. 7 reads its stages from trace spans, so turning the tracer on must
+// not change the simulation: one seed, tracer off and on, same digest.
+struct FailoverRun {
+  std::uint64_t digest = 0;
+  std::uint64_t completed = 0;
+  std::vector<FailoverStages> failovers;
+};
+
+FailoverRun RunClosedLoopFailover(bool traced) {
+  sim::Simulator sim(23);
+  sim.obs().tracer().set_enabled(traced);
+  net::Network net(sim);
+  cluster::CfsConfig cfg;
+  cfg.groups = 1;
+  cfg.standbys_per_group = 3;
+  cfg.clients = 1;
+  cfg.data_servers = 1;
+  cluster::CfsCluster cfs(net, cfg);
+  cfs.Start();
+  sim.RunUntil(sim.Now() + kSecond);
+
+  workload::Mix mix;
+  mix.create = 0.5;
+  mix.getfileinfo = 0.5;
+  workload::LoadEngine engine(sim, workload::MakeApi(cfs.client(0)), mix, 23,
+                              workload::LoadEngineOptions::Closed(4));
+  engine.Start();
+  sim.RunUntil(sim.Now() + 2 * kSecond);
+  cfs.FindActive(0)->Crash();
+  sim.RunUntil(sim.Now() + 12 * kSecond);
+  engine.Stop();
+  sim.RunUntil(sim.Now() + kSecond);
+  return {sim.run_digest(), engine.completed(),
+          CompletedFailovers(sim.obs().tracer())};
+}
+
+TEST(FailoverTracingTest, TracerOnLeavesRunDigestUnchanged) {
+  const FailoverRun off = RunClosedLoopFailover(false);
+  const FailoverRun on = RunClosedLoopFailover(true);
+  EXPECT_EQ(off.digest, on.digest);
+  EXPECT_EQ(off.completed, on.completed);
+  EXPECT_GT(on.completed, 100u);
+  EXPECT_TRUE(off.failovers.empty());
+  // One failover/election span that ended won=true, followed on the same
+  // node by a failover/switch span that ended ok=true.
+  ASSERT_EQ(on.failovers.size(), 1u);
+  EXPECT_LT(on.failovers[0].election_started, on.failovers[0].lock_granted);
+  EXPECT_LT(on.failovers[0].lock_granted, on.failovers[0].switch_completed);
 }
 
 TEST_F(CoreTest, GroupDirectoryTracksActives) {
@@ -224,17 +275,15 @@ TEST_F(CoreTest, ReadsServedDuringUpgradeWindow) {
   workload::Mix mix;
   mix.create = 0.5;
   mix.getfileinfo = 0.5;
-  workload::DriverOptions dopts;
-  dopts.sessions = 4;
-  workload::Driver driver(*sim_, workload::MakeApi(cfs_->client(1)), mix, 3,
-                          dopts);
-  driver.Start();
+  workload::LoadEngine engine(*sim_, workload::MakeApi(cfs_->client(1)), mix,
+                              3, workload::LoadEngineOptions::Closed(4));
+  engine.Start();
   Run(2 * kSecond);
   cfs_->FindActive(0)->Crash();
   Run(15 * kSecond);
-  driver.Stop();
+  engine.Stop();
   Run(2 * kSecond);
-  EXPECT_GT(driver.completed(), 100u);
+  EXPECT_GT(engine.completed(), 100u);
   // All replicas converge after the dust settles.
   MdsServer* active = cfs_->FindActive(0);
   ASSERT_NE(active, nullptr);
@@ -272,11 +321,10 @@ TEST_F(CoreTest, PipelinedCommitDrainsAcrossViewChange) {
   mix.create = 0.70;
   mix.add_block = 0.15;
   mix.getfileinfo = 0.15;
-  workload::DriverOptions dopts;
-  dopts.sessions = 12;  // backlog wider than the 2-slot window
-  workload::Driver driver(*sim_, workload::MakeApi(cfs_->client(1)), mix, 7,
-                          dopts);
-  driver.Start();
+  // 12 sessions: a backlog wider than the 2-slot window.
+  workload::LoadEngine engine(*sim_, workload::MakeApi(cfs_->client(1)), mix,
+                              7, workload::LoadEngineOptions::Closed(12));
+  engine.Start();
   Run(3 * kSecond);
 
   // The window must actually have been exceeded, otherwise this test is
@@ -287,9 +335,9 @@ TEST_F(CoreTest, PipelinedCommitDrainsAcrossViewChange) {
 
   old_active->Crash();  // mid-window: syncs in flight, batches deferred
   Run(15 * kSecond);
-  driver.Stop();
+  engine.Stop();
   Run(2 * kSecond);
-  EXPECT_GT(driver.completed(), 100u);
+  EXPECT_GT(engine.completed(), 100u);
 
   MdsServer* active = cfs_->FindActive(0);
   ASSERT_NE(active, nullptr);

@@ -10,7 +10,7 @@
 #include "metrics/availability.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 
 namespace mams {
 namespace {
@@ -65,20 +65,18 @@ TEST(AvailabilityIntegrationTest, FailoverShowsAsOneShortOutage) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  workload::DriverOptions opts;
-  opts.sessions = 4;
-  workload::Driver driver(sim, workload::MakeApi(cfs.client(0)),
-                          workload::Mix::Only(workload::OpKind::kCreate), 9,
-                          opts);
-  driver.Start();
+  workload::LoadEngine engine(sim, workload::MakeApi(cfs.client(0)),
+                              workload::Mix::Only(workload::OpKind::kCreate), 9,
+                              workload::LoadEngineOptions::Closed(4));
+  engine.Start();
   sim.RunUntil(sim.Now() + 20 * kSecond);
   cfs.FindActive(0)->Crash();
   sim.RunUntil(sim.Now() + 40 * kSecond);
-  driver.Stop();
+  engine.Stop();
 
   // One main outage (the failover window); a boundary bucket straddling
   // the recovery instant may register as a short second blip.
-  auto outages = metrics::FindOutages(driver.rate());
+  auto outages = metrics::FindOutages(engine.rate());
   ASSERT_GE(outages.size(), 1u);
   std::size_t total = 0, longest = 0;
   for (const auto& o : outages) {
@@ -88,7 +86,7 @@ TEST(AvailabilityIntegrationTest, FailoverShowsAsOneShortOutage) {
   // Failover: ~5 s session timeout + election + switch + reconnect.
   EXPECT_GE(longest, 4u);
   EXPECT_LE(total, 12u);
-  EXPECT_GT(metrics::Availability(driver.rate()), 0.8);
+  EXPECT_GT(metrics::Availability(engine.rate()), 0.8);
 }
 
 // Mini Table I: every HA system recovers; recovery-time ordering matches
@@ -108,16 +106,16 @@ TEST(MttrOrderingTest, SmallScaleOrderingMatchesPaper) {
     cluster::CfsCluster cfs(net, cfg);
     cfs.Start();
     sim.RunUntil(sim.Now() + kSecond);
-    workload::Driver driver(sim, workload::MakeApi(cfs.client(0)),
-                            workload::Mix::Only(workload::OpKind::kCreate),
-                            5, {.sessions = 2});
-    driver.Start();
+    workload::LoadEngine engine(sim, workload::MakeApi(cfs.client(0)),
+                                workload::Mix::Only(workload::OpKind::kCreate),
+                                5, workload::LoadEngineOptions::Closed(2));
+    engine.Start();
     sim.RunUntil(sim.Now() + 2 * kSecond);
     cfs.FindActive(0)->Crash();
-    while (!driver.mttr_probe().complete() && sim.Now() < 300 * kSecond) {
+    while (!engine.mttr_probe().complete() && sim.Now() < 300 * kSecond) {
       sim.RunUntil(sim.Now() + 250 * kMillisecond);
     }
-    return ToSeconds(driver.mttr_probe().mttr());
+    return ToSeconds(engine.mttr_probe().mttr());
   }();
 
   auto ha = [] {
@@ -129,16 +127,16 @@ TEST(MttrOrderingTest, SmallScaleOrderingMatchesPaper) {
     opts.client.rpc_timeout = kSecond;
     baselines::HadoopHaSystem sys(net, opts);
     sim.RunUntil(sim.Now() + kSecond);
-    workload::Driver driver(sim, workload::MakeApi(sys.client(0)),
-                            workload::Mix::Only(workload::OpKind::kCreate),
-                            5, {.sessions = 2});
-    driver.Start();
+    workload::LoadEngine engine(sim, workload::MakeApi(sys.client(0)),
+                                workload::Mix::Only(workload::OpKind::kCreate),
+                                5, workload::LoadEngineOptions::Closed(2));
+    engine.Start();
     sim.RunUntil(sim.Now() + 2 * kSecond);
     sys.KillPrimary();
-    while (!driver.mttr_probe().complete() && sim.Now() < 300 * kSecond) {
+    while (!engine.mttr_probe().complete() && sim.Now() < 300 * kSecond) {
       sim.RunUntil(sim.Now() + 250 * kMillisecond);
     }
-    return ToSeconds(driver.mttr_probe().mttr());
+    return ToSeconds(engine.mttr_probe().mttr());
   }();
 
   auto avatar = [] {
@@ -150,16 +148,16 @@ TEST(MttrOrderingTest, SmallScaleOrderingMatchesPaper) {
     opts.client.rpc_timeout = kSecond;
     baselines::AvatarSystem sys(net, opts);
     sim.RunUntil(sim.Now() + kSecond);
-    workload::Driver driver(sim, workload::MakeApi(sys.client(0)),
-                            workload::Mix::Only(workload::OpKind::kCreate),
-                            5, {.sessions = 2});
-    driver.Start();
+    workload::LoadEngine engine(sim, workload::MakeApi(sys.client(0)),
+                                workload::Mix::Only(workload::OpKind::kCreate),
+                                5, workload::LoadEngineOptions::Closed(2));
+    engine.Start();
     sim.RunUntil(sim.Now() + 2 * kSecond);
     sys.KillPrimary();
-    while (!driver.mttr_probe().complete() && sim.Now() < 300 * kSecond) {
+    while (!engine.mttr_probe().complete() && sim.Now() < 300 * kSecond) {
       sim.RunUntil(sim.Now() + 250 * kMillisecond);
     }
-    return ToSeconds(driver.mttr_probe().mttr());
+    return ToSeconds(engine.mttr_probe().mttr());
   }();
 
   EXPECT_LT(mams, 9.0);

@@ -1,4 +1,4 @@
-// Tests for the workload layer: op streams, the closed-loop driver (with
+// Tests for the workload layer: op streams, the closed-loop engine (with
 // MTTR probing), and the MapReduce job simulator.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include "cluster/cfs.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "workload/driver.hpp"
+#include "workload/load_engine.hpp"
 #include "workload/mapreduce.hpp"
 #include "workload/opstream.hpp"
 
@@ -80,14 +80,14 @@ TEST(DriverTest, ClosedLoopProducesThroughputOnCfs) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  Driver driver(sim, MakeApi(cfs.client(0)), Mix::Only(OpKind::kCreate), 11,
-                {.sessions = 4});
-  driver.Start();
+  LoadEngine engine(sim, MakeApi(cfs.client(0)), Mix::Only(OpKind::kCreate),
+                    11, LoadEngineOptions::Closed(4));
+  engine.Start();
   sim.RunUntil(sim.Now() + 5 * kSecond);
-  driver.Stop();
-  EXPECT_GT(driver.completed(), 1000u);  // thousands of ops/s expected
-  EXPECT_GT(driver.Throughput(), 500.0);
-  EXPECT_GT(driver.latencies().count(), 0u);
+  engine.Stop();
+  EXPECT_GT(engine.completed(), 1000u);  // thousands of ops/s expected
+  EXPECT_GT(engine.Throughput(), 500.0);
+  EXPECT_GT(engine.latencies().count(), 0u);
 }
 
 TEST(DriverTest, MttrProbeMeasuresOutageOnCfs) {
@@ -104,21 +104,21 @@ TEST(DriverTest, MttrProbeMeasuresOutageOnCfs) {
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  Driver driver(sim, MakeApi(cfs.client(0)), Mix::Only(OpKind::kCreate), 12,
-                {.sessions = 2});
-  driver.Start();
+  LoadEngine engine(sim, MakeApi(cfs.client(0)), Mix::Only(OpKind::kCreate),
+                    12, LoadEngineOptions::Closed(2));
+  engine.Start();
   sim.RunUntil(sim.Now() + 2 * kSecond);
   cfs.FindActive(0)->Crash();
   sim.RunUntil(sim.Now() + 20 * kSecond);
-  driver.Stop();
+  engine.Stop();
 
-  const auto& probe = driver.mttr_probe();
+  const auto& probe = engine.mttr_probe();
   ASSERT_TRUE(probe.complete());
   const double mttr = ToSeconds(probe.mttr());
   // Session timeout (5 s) dominates; election+switch+reconnect add <2 s.
   EXPECT_GT(mttr, 3.0);
   EXPECT_LT(mttr, 9.0);
-  EXPECT_GT(driver.failed(), 0u);
+  EXPECT_GT(engine.failed(), 0u);
 }
 
 TEST(MapReduceTest, JobCompletesWithoutFailures) {

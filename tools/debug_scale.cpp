@@ -146,9 +146,9 @@ int main(int argc, char** argv) {
               (unsigned long long)engine.failed());
   std::printf("throughput=%.0f op/s p50=%.3fms p90=%.3fms p99=%.3fms\n",
               engine.completed() / ToSeconds(sim.Now() - start),
-              engine.latencies().Quantile(0.5),
-              engine.latencies().Quantile(0.9),
-              engine.latencies().Quantile(0.99));
+              ToMillis(engine.latencies().Quantile(0.5)),
+              ToMillis(engine.latencies().Quantile(0.9)),
+              ToMillis(engine.latencies().Quantile(0.99)));
   std::printf("virtual=%.1fs digest=%016llx\n", ToSeconds(sim.Now() - start),
               (unsigned long long)sim.run_digest());
   return 0;
