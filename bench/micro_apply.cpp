@@ -199,8 +199,7 @@ int main() {
   std::fprintf(out,
                "{\n"
                "  \"apply\": {\n"
-               "    \"mix\": \"70%% create / 20%% add_block / 10%% "
-               "getfileinfo\",\n"
+               "    \"mix\": \"%s\",\n"
                "    \"records_replayed\": %llu,\n"
                "    \"batches_replayed\": %llu,\n"
                "    \"records_per_batch\": %.2f,\n"
@@ -215,6 +214,7 @@ int main() {
                "    \"pipeline_gain_4_vs_1\": %.3f\n"
                "  }\n"
                "}\n",
+               bench::MixLabel(CreateHeavyMix()).c_str(),
                static_cast<unsigned long long>(serial.records_replayed),
                static_cast<unsigned long long>(serial.batches_replayed),
                records_per_batch,

@@ -146,7 +146,7 @@ int main() {
   std::fprintf(out,
                "{\n"
                "  \"reads\": {\n"
-               "    \"mix\": \"90%% getfileinfo / 5%% listdir / 5%% create\",\n"
+               "    \"mix\": \"%s\",\n"
                "    \"clients\": %d,\n"
                "    \"sessions_per_client\": %d,\n"
                "    \"active_only_ops_per_sec\": {\"1\": %.1f, \"2\": %.1f, "
@@ -157,7 +157,8 @@ int main() {
                "    \"scaling_offload_3s_vs_1s\": %.3f\n"
                "  }\n"
                "}\n",
-               kClients, kSessionsPerClient, active_only[1], active_only[2],
+               bench::MixLabel(ReadHeavyMix()).c_str(), kClients,
+               kSessionsPerClient, active_only[1], active_only[2],
                active_only[3], offload[1], offload[2], offload[3], speedup_3s,
                scaling_3s_vs_1s);
   std::fclose(out);

@@ -205,11 +205,12 @@ int main() {
   std::fprintf(out,
                "{\n"
                "  \"scale\": {\n"
-               "    \"mix\": \"90%% getfileinfo / 10%% create\",\n"
+               "    \"mix\": \"%s\",\n"
                "    \"ops_per_session\": %u,\n"
                "    \"arrival\": \"constant over %.1f s ramp\",\n"
                "    \"tiers\": [\n",
-               kOpsPerSession, kRampSeconds);
+               bench::MixLabel(ScaleMix()).c_str(), kOpsPerSession,
+               kRampSeconds);
   for (std::size_t i = 0; i < stats.size(); ++i) {
     const TierStats& st = stats[i];
     std::fprintf(out,

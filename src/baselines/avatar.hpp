@@ -20,23 +20,21 @@
 
 namespace mams::baselines {
 
-struct AvatarOptions {
-  SimTime tail_interval = 300 * kMillisecond;  ///< standby ingest lag
-  /// Administrative switch cost on takeover: lease recovery, safemode
-  /// re-check, VIP/DNS flip. Dominates Avatar's MTTR; flat in image size.
-  SimTime admin_switch_delay = 19 * kSecond;
-  SimTime detection_timeout = 5 * kSecond;     ///< ZK session timeout
-  SimTime detection_interval = 2 * kSecond;    ///< ZK heartbeat
-};
+/// Standby ingest lag.
+inline constexpr SimTime kAvatarTailInterval = 300 * kMillisecond;
+/// Administrative switch cost on takeover: lease recovery, safemode
+/// re-check, VIP/DNS flip. Dominates Avatar's MTTR; flat in image size.
+inline constexpr SimTime kAvatarAdminSwitchDelay = 19 * kSecond;
+/// Failure detection: ZK session timeout over ZK heartbeats.
+inline constexpr SimTime kAvatarDetectionTimeout = 5 * kSecond;
+inline constexpr SimTime kAvatarDetectionInterval = 2 * kSecond;
 
 /// Active avatar: every journal batch is a synchronous NFS write.
 class AvatarActive : public NameNodeBase {
  public:
   AvatarActive(net::Network& network, std::string name, NodeId nfs_filer,
-               core::OpCosts costs = {},
-               journal::Writer::Options writer_options = {})
-      : NameNodeBase(network, std::move(name), costs, writer_options),
-        nfs_(nfs_filer) {}
+               core::OpCosts costs = {})
+      : NameNodeBase(network, std::move(name), costs), nfs_(nfs_filer) {}
 
   static constexpr const char* kEditsFile = "avatar/edits";
 
@@ -63,10 +61,8 @@ class AvatarActive : public NameNodeBase {
 class AvatarStandby : public NameNodeBase {
  public:
   AvatarStandby(net::Network& network, std::string name, NodeId nfs_filer,
-                AvatarOptions options = {}, core::OpCosts costs = {})
-      : NameNodeBase(network, std::move(name), costs),
-        nfs_(nfs_filer),
-        options_(options) {}
+                core::OpCosts costs = {})
+      : NameNodeBase(network, std::move(name), costs), nfs_(nfs_filer) {}
 
   /// Begins the failover sequence (called by the failure monitor).
   void TakeOver() {
@@ -97,7 +93,7 @@ class AvatarStandby : public NameNodeBase {
   void OnStart() override {
     NameNodeBase::OnStart();
     tail_timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim(), options_.tail_interval, [this] { Tail(false); });
+        sim(), kAvatarTailInterval, [this] { Tail(false); });
     tail_timer_->Start();
   }
 
@@ -133,7 +129,7 @@ class AvatarStandby : public NameNodeBase {
            if (final_pass) {
              // Administrative switch: lease recovery, safemode re-check,
              // VIP flip. Then the avatar serves.
-             AfterLocal(options_.admin_switch_delay, [this] {
+             AfterLocal(kAvatarAdminSwitchDelay, [this] {
                taking_over_ = false;
                serving_ = true;
                tail_timer_.reset();
@@ -147,7 +143,6 @@ class AvatarStandby : public NameNodeBase {
   void FinalTail() { Tail(true); }
 
   NodeId nfs_;
-  AvatarOptions options_;
   std::unique_ptr<sim::PeriodicTimer> tail_timer_;
   bool serving_ = false;
   bool taking_over_ = false;

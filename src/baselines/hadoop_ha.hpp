@@ -21,15 +21,15 @@
 
 namespace mams::baselines {
 
-struct HadoopHaOptions {
-  int journal_nodes = 4;           ///< paper Section IV.B
-  SimTime tail_interval = 2 * kSecond;
-  SimTime fence_delay = 3500 * kMillisecond;  ///< ssh fence w/ timeout
-  SimTime segment_recovery_extra = 2 * kSecond;  ///< epoch + finalize
-  SimTime transition_delay = 2 * kSecond;  ///< state transition + safemode
-  SimTime detection_timeout = 5 * kSecond;
-  SimTime detection_interval = 2 * kSecond;
-};
+inline constexpr int kHaJournalNodes = 4;  ///< paper Section IV.B
+inline constexpr SimTime kHaTailInterval = 2 * kSecond;
+/// Takeover: ssh fence (with timeout), in-progress segment recovery
+/// (epoch + finalize), then state transition + safemode.
+inline constexpr SimTime kHaFenceDelay = 3500 * kMillisecond;
+inline constexpr SimTime kHaSegmentRecoveryExtra = 2 * kSecond;
+inline constexpr SimTime kHaTransitionDelay = 2 * kSecond;
+inline constexpr SimTime kHaDetectionTimeout = 5 * kSecond;
+inline constexpr SimTime kHaDetectionInterval = 2 * kSecond;
 
 inline constexpr const char* kQjmEditsFile = "qjm/edits";
 
@@ -37,9 +37,8 @@ inline constexpr const char* kQjmEditsFile = "qjm/edits";
 class HadoopHaActive : public NameNodeBase {
  public:
   HadoopHaActive(net::Network& network, std::string name,
-                 std::vector<NodeId> journal_nodes, core::OpCosts costs = {},
-                 journal::Writer::Options writer_options = {})
-      : NameNodeBase(network, std::move(name), costs, writer_options),
+                 std::vector<NodeId> journal_nodes, core::OpCosts costs = {})
+      : NameNodeBase(network, std::move(name), costs),
         journal_nodes_(std::move(journal_nodes)) {}
 
  protected:
@@ -75,17 +74,15 @@ class HadoopHaActive : public NameNodeBase {
 class HadoopHaStandby : public NameNodeBase {
  public:
   HadoopHaStandby(net::Network& network, std::string name,
-                  std::vector<NodeId> journal_nodes,
-                  HadoopHaOptions options = {}, core::OpCosts costs = {})
+                  std::vector<NodeId> journal_nodes, core::OpCosts costs = {})
       : NameNodeBase(network, std::move(name), costs),
-        journal_nodes_(std::move(journal_nodes)),
-        options_(options) {}
+        journal_nodes_(std::move(journal_nodes)) {}
 
   /// ZKFC-triggered failover: fence, recover segment, replay, transition.
   void TakeOver() {
     if (serving_ || taking_over_ || !alive()) return;
     taking_over_ = true;
-    AfterLocal(options_.fence_delay, [this] { RecoverSegment(0); });
+    AfterLocal(kHaFenceDelay, [this] { RecoverSegment(0); });
   }
 
   bool serving() const noexcept { return serving_; }
@@ -116,7 +113,7 @@ class HadoopHaStandby : public NameNodeBase {
   void OnStart() override {
     NameNodeBase::OnStart();
     tail_timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim(), options_.tail_interval, [this] { Tail(0, false); });
+        sim(), kHaTailInterval, [this] { Tail(0, false); });
     tail_timer_->Start();
   }
 
@@ -152,8 +149,7 @@ class HadoopHaStandby : public NameNodeBase {
                Tail(jn_index, true);
                return;
              }
-             AfterLocal(options_.segment_recovery_extra +
-                            options_.transition_delay,
+             AfterLocal(kHaSegmentRecoveryExtra + kHaTransitionDelay,
                         [this] {
                           taking_over_ = false;
                           serving_ = true;
@@ -169,7 +165,6 @@ class HadoopHaStandby : public NameNodeBase {
   void RecoverSegment(std::size_t jn_index) { Tail(jn_index, true); }
 
   std::vector<NodeId> journal_nodes_;
-  HadoopHaOptions options_;
   std::unique_ptr<sim::PeriodicTimer> tail_timer_;
   bool serving_ = false;
   bool taking_over_ = false;

@@ -10,11 +10,8 @@ namespace mams::baselines {
 class HdfsNameNode : public NameNodeBase {
  public:
   HdfsNameNode(net::Network& network, std::string name,
-               core::OpCosts costs = {},
-               journal::Writer::Options writer_options = {},
-               storage::DiskParams disk = {})
-      : NameNodeBase(network, std::move(name), costs, writer_options),
-        disk_(disk) {}
+               core::OpCosts costs = {})
+      : NameNodeBase(network, std::move(name), costs) {}
 
  protected:
   bool Serving() const override { return alive(); }

@@ -133,7 +133,6 @@ class BackupNodeSystem {
 struct AvatarSystemOptions {
   int clients = 4;
   int data_servers = 4;
-  AvatarOptions avatar;
   BaselineClientOptions client;
   core::OpCosts costs;
 };
@@ -152,7 +151,7 @@ class AvatarSystem {
     active_ = std::make_unique<AvatarActive>(network, "avatar-active",
                                              nfs_->id(), options.costs);
     standby_ = std::make_unique<AvatarStandby>(
-        network, "avatar-standby", nfs_->id(), options.avatar, options.costs);
+        network, "avatar-standby", nfs_->id(), options.costs);
     for (int d = 0; d < options.data_servers; ++d) {
       dns_.push_back(std::make_unique<cluster::DataServer>(
           network, "avatar-dn" + std::to_string(d)));
@@ -160,10 +159,10 @@ class AvatarSystem {
       dns_.back()->SetMetadataNodes({active_->id(), standby_->id()});
     }
     FailureMonitor::Options mon;
-    mon.ping_interval = options.avatar.detection_interval;
-    mon.ping_timeout = options.avatar.detection_interval / 2;
-    mon.misses_to_declare_dead = static_cast<int>(
-        options.avatar.detection_timeout / options.avatar.detection_interval);
+    mon.ping_interval = kAvatarDetectionInterval;
+    mon.ping_timeout = kAvatarDetectionInterval / 2;
+    mon.misses_to_declare_dead =
+        static_cast<int>(kAvatarDetectionTimeout / kAvatarDetectionInterval);
     monitor_ = std::make_unique<FailureMonitor>(
         network, "avatar-monitor", active_->id(),
         [this] { standby_->TakeOver(); }, mon);
@@ -202,7 +201,6 @@ class AvatarSystem {
 struct HadoopHaSystemOptions {
   int clients = 4;
   int data_servers = 4;
-  HadoopHaOptions ha;
   BaselineClientOptions client;
   core::OpCosts costs;
 };
@@ -216,7 +214,7 @@ class HadoopHaSystem {
     // Journal nodes fsync every edit segment write (QJM durability).
     storage::DiskParams jn_disk;
     jn_disk.sequential_latency = 900 * kMicrosecond;
-    for (int j = 0; j < options.ha.journal_nodes; ++j) {
+    for (int j = 0; j < kHaJournalNodes; ++j) {
       jns_.push_back(std::make_unique<storage::PoolNode>(
           network, "ha-jn" + std::to_string(j), jn_disk));
       jn_ids.push_back(jns_.back()->id());
@@ -224,18 +222,17 @@ class HadoopHaSystem {
     active_ = std::make_unique<HadoopHaActive>(network, "ha-active", jn_ids,
                                                options.costs);
     standby_ = std::make_unique<HadoopHaStandby>(network, "ha-standby",
-                                                 jn_ids, options.ha,
-                                                 options.costs);
+                                                 jn_ids, options.costs);
     for (int d = 0; d < options.data_servers; ++d) {
       dns_.push_back(std::make_unique<cluster::DataServer>(
           network, "ha-dn" + std::to_string(d)));
       dns_.back()->SetMetadataNodes({active_->id(), standby_->id()});
     }
     FailureMonitor::Options mon;  // the ZKFC
-    mon.ping_interval = options.ha.detection_interval;
-    mon.ping_timeout = options.ha.detection_interval / 2;
-    mon.misses_to_declare_dead = static_cast<int>(
-        options.ha.detection_timeout / options.ha.detection_interval);
+    mon.ping_interval = kHaDetectionInterval;
+    mon.ping_timeout = kHaDetectionInterval / 2;
+    mon.misses_to_declare_dead =
+        static_cast<int>(kHaDetectionTimeout / kHaDetectionInterval);
     monitor_ = std::make_unique<FailureMonitor>(
         network, "ha-zkfc", active_->id(), [this] { standby_->TakeOver(); },
         mon);
@@ -274,7 +271,6 @@ class HadoopHaSystem {
 struct BoomFsSystemOptions {
   int clients = 4;
   int replicas = 3;
-  BoomFsOptions boom;
   BaselineClientOptions client;
   FailureMonitor::Options monitor{.ping_interval = kSecond,
                                   .ping_timeout = 500 * kMillisecond,
@@ -289,7 +285,7 @@ class BoomFsSystem {
     std::vector<NodeId> ids;
     for (int i = 0; i < options.replicas; ++i) {
       servers_.push_back(std::make_unique<BoomFsServer>(
-          network, "boom" + std::to_string(i), options.boom));
+          network, "boom" + std::to_string(i)));
       ids.push_back(servers_.back()->id());
     }
     for (auto& s : servers_) s->SetPeers(ids);

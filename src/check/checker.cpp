@@ -50,8 +50,7 @@ bool MayHaveExecuted(const Event& e) {
 /// events ordered by id (== invoke order within a run).
 class Search {
  public:
-  Search(const History& history, const CheckOptions& options)
-      : history_(history), options_(options) {}
+  explicit Search(const History& history) : history_(history) {}
 
   CheckResult Run() {
     CheckResult result;
@@ -139,7 +138,7 @@ class Search {
 
   bool Dfs() {
     if (definite_left_ == 0) return true;  // leftovers are ambiguous: fine
-    if (++states_ > options_.max_states) {
+    if (++states_ > kMaxStates) {
       budget_exhausted_ = true;
       return false;
     }
@@ -482,7 +481,6 @@ class Search {
   }
 
   const History& history_;
-  const CheckOptions& options_;
   std::vector<const Event*> ops_;
   std::vector<const Event*> session_reads_;  ///< session-checked, not core
   std::vector<const Event*> order_;  ///< witness linearization on success
@@ -529,8 +527,8 @@ std::string FormatViolation(const History& history, const Violation& v) {
   return s;
 }
 
-CheckResult CheckHistory(const History& history, CheckOptions options) {
-  Search search(history, options);
+CheckResult CheckHistory(const History& history) {
+  Search search(history);
   return search.Run();
 }
 

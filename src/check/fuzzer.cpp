@@ -286,7 +286,7 @@ struct ClientScript : std::enable_shared_from_this<ClientScript> {
 
 }  // namespace
 
-RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
+RunResult RunSpecOnce(const RunSpec& spec) {
   sim::Simulator sim(spec.seed);
   net::Network net(sim);
   net::FaultInjector inject(net);
@@ -542,7 +542,7 @@ RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check) {
   }
 
   result.history = recorder.history();
-  result.check = CheckHistory(result.history, check);
+  result.check = CheckHistory(result.history);
   for (const Violation& v : result.check.violations) {
     result.violations.push_back(v);
   }

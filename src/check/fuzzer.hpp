@@ -187,6 +187,6 @@ struct RunResult {
 /// Executes one spec end to end: boot, op/fault phase, heal, quiesce,
 /// audit reads of every touched path, replica-divergence audit, history
 /// check.
-RunResult RunSpecOnce(const RunSpec& spec, CheckOptions check = {});
+RunResult RunSpecOnce(const RunSpec& spec);
 
 }  // namespace mams::check

@@ -40,7 +40,7 @@ class ListMinimizer {
         list.erase(list.begin() + static_cast<std::ptrdiff_t>(i),
                    list.begin() + static_cast<std::ptrdiff_t>(end));
         ++runs_;
-        RunResult r = RunSpecOnce(candidate, options_.check);
+        RunResult r = RunSpecOnce(candidate);
         if (r.violated()) {
           spec_ = std::move(candidate);
           best_ = std::move(r);
@@ -76,7 +76,7 @@ class ListMinimizer {
 ShrinkResult Shrink(const RunSpec& failing, ShrinkOptions options) {
   ShrinkResult out;
   out.spec = failing;
-  out.result = RunSpecOnce(out.spec, options.check);
+  out.result = RunSpecOnce(out.spec);
   out.runs = 1;
   if (!out.result.violated()) {
     // Not reproducible as given — nothing to shrink.

@@ -16,7 +16,6 @@ namespace mams::check {
 
 struct ShrinkOptions {
   int max_runs = 200;  ///< rerun budget across the whole shrink
-  CheckOptions check;
   /// Progress callback (ops left, faults left, runs used); may be null.
   std::function<void(std::size_t, std::size_t, int)> progress;
 };

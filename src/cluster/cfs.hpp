@@ -32,14 +32,15 @@ struct CfsConfig {
   int juniors_per_group = 0;   ///< cold backups booted as juniors
   int data_servers = 4;
   int clients = 4;
-  SimTime block_report_interval = 3 * kSecond;
   core::MdsOptions mds;        ///< per-server tunables (group id overridden)
   coord::CoordOptions coord;
   FsClientOptions client;
-  int coord_replicas = 3;
-  /// Stagger between booting actives and backups (deployment realism).
-  SimTime backup_boot_delay = 50 * kMillisecond;
 };
+
+/// Coordination ensemble size.
+inline constexpr int kCoordReplicas = 3;
+/// Stagger between booting actives and backups (deployment realism).
+inline constexpr SimTime kBackupBootDelay = 50 * kMillisecond;
 
 class CfsCluster {
  public:
@@ -47,7 +48,7 @@ class CfsCluster {
       : network_(network),
         config_(config),
         partitioner_(config.groups),
-        coord_(network, config.coord_replicas, config.coord) {
+        coord_(network, kCoordReplicas, config.coord) {
     // Pool nodes first so the SSP addresses exist for every MDS. One pool
     // node per metadata node (co-hosted machine model).
     const int members_per_group =
@@ -81,7 +82,7 @@ class CfsCluster {
     }
     for (int d = 0; d < config_.data_servers; ++d) {
       data_servers_.push_back(std::make_unique<DataServer>(
-          network, "dn" + std::to_string(d), config_.block_report_interval));
+          network, "dn" + std::to_string(d)));
       data_servers_.back()->SetMetadataNodes(all_mds_ids);
     }
 
@@ -118,7 +119,7 @@ class CfsCluster {
       group[0]->Start(ServerState::kActive);
     }
     auto& sim = network_.sim();
-    sim.After(config_.backup_boot_delay, [this] {
+    sim.After(kBackupBootDelay, [this] {
       for (auto& group : groups_) {
         for (std::size_t m = 1; m < group.size(); ++m) {
           const bool junior =

@@ -63,15 +63,18 @@ enum class ReadRouting : std::uint8_t {
   kRoundRobinStandby,    ///< reads round-robin over live standbys
 };
 
+/// Bound on cached directories; at capacity the earliest-expiring
+/// directory is evicted.
+inline constexpr std::size_t kCacheMaxDirs = 4096;
+/// Latency-model charge for a locally served cache hit (no network hop).
+inline constexpr SimTime kCacheHitLatency = 1 * kMicrosecond;
+/// Latency-model charge for TCP + session setup on a fresh connection.
+inline constexpr SimTime kReconnectCost = 1500 * kMicrosecond;
+
 /// Lease-protected namespace cache (off by default). Pairs with the
 /// server-side grant switch core::ClientLeaseOptions::grant_leases.
 struct ClientCacheOptions {
   bool enabled = false;
-  /// Bound on cached directories; at capacity the earliest-expiring
-  /// directory is evicted.
-  std::size_t max_dirs = 4096;
-  /// Latency-model charge for a locally served hit (no network hop).
-  SimTime hit_latency = 1 * kMicrosecond;
   /// Mutation self-test (core::TestHooks::ignore_lease_revoke): keep
   /// serving a pushed-revoked lease until its TTL, while still acking the
   /// revocation so the conflicting mutation completes. Never set outside
@@ -82,7 +85,6 @@ struct ClientCacheOptions {
 struct FsClientOptions {
   SimTime rpc_timeout = 2 * kSecond;
   SimTime resolve_poll = 200 * kMillisecond;  ///< view polling backoff
-  SimTime reconnect_cost = 1500 * kMicrosecond;  ///< TCP + session setup
   int max_attempts = 120;  ///< per op; ~ rpc_timeout * attempts budget
   ReadRouting read_routing = ReadRouting::kActiveOnly;
   ClientCacheOptions cache;
@@ -574,7 +576,7 @@ class FsClient : public net::Host {
     ++counters_.cache_hits;
     m_cache_hits_->Add();
     state->via_cache = true;
-    AfterLocal(options_.cache.hit_latency,
+    AfterLocal(kCacheHitLatency,
                [this, state, resp] { Finish(state, RespPtr(resp)); });
     return true;
   }
@@ -590,7 +592,7 @@ class FsClient : public net::Host {
     if (revoked_leases_.count(resp.lease_id) != 0) return;
     auto it = cache_.find(resp.lease_dir);
     if (it == cache_.end()) {
-      if (cache_.size() >= options_.cache.max_dirs) EvictEarliest();
+      if (cache_.size() >= kCacheMaxDirs) EvictEarliest();
       it = cache_.emplace(resp.lease_dir, DirCache{}).first;
     }
     DirCache& dc = it->second;
@@ -725,7 +727,7 @@ class FsClient : public net::Host {
   /// the paper's "operation returns failure" timestamps.
   void Resolve(const std::shared_ptr<OpState>& state) {
     net::RpcPolicy policy;
-    policy.attempt_timeout = coord_client_->policies().rpc.attempt_timeout;
+    policy.attempt_timeout = coord::kCoordRpcTimeout;
     // Remaining op budget = remaining view polls; at least one.
     policy.max_attempts =
         std::max(1, options_.max_attempts - state->outcome.attempts + 1);
@@ -751,10 +753,8 @@ class FsClient : public net::Host {
           targets.epoch = std::max(targets.epoch, view.fence_token);
           if (fresh) {
             ++counters_.reconnects;
-            // Latency-model charge for TCP + session setup on a fresh
-            // connection — not a retry timer.
-            AfterLocal(options_.reconnect_cost,
-                       [this, state] { Attempt(state); });
+            // Latency-model charge, not a retry timer.
+            AfterLocal(kReconnectCost, [this, state] { Attempt(state); });
           } else {
             Attempt(state);
           }

@@ -18,12 +18,12 @@
 
 namespace mams::cluster {
 
+inline constexpr SimTime kBlockReportInterval = 3 * kSecond;
+
 class DataServer : public net::Host {
  public:
-  DataServer(net::Network& network, std::string name,
-             SimTime report_interval = 3 * kSecond)
-      : net::Host(network, std::move(name)),
-        report_interval_(report_interval) {}
+  DataServer(net::Network& network, std::string name)
+      : net::Host(network, std::move(name)) {}
 
   /// Metadata nodes to report to (all members of the groups this DN serves).
   void SetMetadataNodes(std::vector<NodeId> nodes) {
@@ -51,7 +51,7 @@ class DataServer : public net::Host {
  protected:
   void OnStart() override {
     report_timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim(), report_interval_, [this] { ReportNow(); });
+        sim(), kBlockReportInterval, [this] { ReportNow(); });
     report_timer_->Start();
     ReportNow();
   }
@@ -62,7 +62,6 @@ class DataServer : public net::Host {
   }
 
  private:
-  SimTime report_interval_;
   std::vector<NodeId> metadata_nodes_;
   std::vector<BlockId> blocks_;
   std::uint64_t synthetic_count_ = 0;

@@ -3,10 +3,10 @@
 // that participates in a replica group (metadata servers, backup nodes)
 // or observes one (file-system clients resolving the active).
 //
-// All exchanges run through net::RpcCall under per-family policies
-// (`policies()`): registration retries until the service answers, election
-// bids loop with a fresh draw per attempt (BidLoop), view polls can wait
-// for an active to appear (WaitForActive), and everything else is a single
+// All exchanges run through net::RpcCall under the per-family policies
+// below: registration retries until the service answers, election bids
+// loop with a fresh draw per attempt (BidLoop), view polls can wait for an
+// active to appear (WaitForActive), and everything else is a single
 // bounded attempt whose failure the owner handles.
 //
 // Ownership note: the owning Host must destroy (or Stop()) this object in
@@ -27,6 +27,30 @@
 
 namespace mams::coord {
 
+/// Deadline of one coordination RPC attempt.
+inline constexpr SimTime kCoordRpcTimeout = 2 * kSecond;
+/// Single-shot ops (watch/view/state/release/maps/revoke relay).
+inline constexpr net::RpcPolicy kCoordRpc{.attempt_timeout = kCoordRpcTimeout,
+                                          .max_attempts = 1};
+/// Session open. A node that cannot open its session cannot participate
+/// at all, so registration keeps trying; the call is idempotent — the
+/// service answers a retried register from its response cache instead of
+/// opening a second session.
+inline constexpr net::RpcPolicy kOpenSessionRpc{
+    .attempt_timeout = kCoordRpcTimeout,
+    .max_attempts = 0,
+    .backoff_base = 500 * kMillisecond,
+    .backoff_multiplier = 2.0,
+    .backoff_cap = 2 * kSecond,
+    .jitter = 0.25};
+/// One election bid; BidLoop layers pacing on top. Replies wait out the
+/// service-side window, so the deadline is roomier than plain RPCs. Bids
+/// are never deduped: each one carries a fresh random draw.
+inline constexpr net::RpcPolicy kTryLockRpc{
+    .attempt_timeout = kCoordRpcTimeout + 2 * kSecond,
+    .max_attempts = 1,
+    .idempotent = false};
+
 class CoordClient {
  public:
   struct LockResult {
@@ -44,44 +68,14 @@ class CoordClient {
   using MapCallback = std::function<void(Status, std::uint64_t,
                                          const std::vector<char>&)>;
 
-  /// Per-call-family retry policies, derived from the ctor's timeouts and
-  /// overridable before the first call.
-  struct Policies {
-    net::RpcPolicy rpc;        ///< single-shot ops: watch/view/state/release
-    net::RpcPolicy register_rpc;  ///< session open: retried until answered
-    net::RpcPolicy trylock;    ///< one bid; BidLoop layers pacing on top
-    net::RpcPolicy heartbeat;  ///< one per beat, never retried
-  };
-
   CoordClient(net::Host& host, NodeId coord,
-              SimTime heartbeat_interval = 2 * kSecond,
-              SimTime rpc_timeout = 2 * kSecond)
-      : host_(host), coord_(coord), heartbeat_interval_(heartbeat_interval) {
-    policies_.rpc.attempt_timeout = rpc_timeout;
-    policies_.rpc.max_attempts = 1;
-
-    // A node that cannot open its session cannot participate at all, so
-    // registration keeps trying; the call is idempotent — the service
-    // answers a retried register from its response cache instead of
-    // opening a second session.
-    policies_.register_rpc.attempt_timeout = rpc_timeout;
-    policies_.register_rpc.max_attempts = 0;
-    policies_.register_rpc.backoff_base = 500 * kMillisecond;
-    policies_.register_rpc.backoff_multiplier = 2.0;
-    policies_.register_rpc.backoff_cap = 2 * kSecond;
-    policies_.register_rpc.jitter = 0.25;
-
-    // Election replies wait out the service-side window; use a roomier
-    // deadline than plain RPCs. Bids are never deduped: each one carries
-    // a fresh random draw.
-    policies_.trylock.attempt_timeout = rpc_timeout + 2 * kSecond;
-    policies_.trylock.max_attempts = 1;
-    policies_.trylock.idempotent = false;
-
-    policies_.heartbeat.attempt_timeout = heartbeat_interval;
-    policies_.heartbeat.max_attempts = 1;
-    policies_.heartbeat.idempotent = false;
-  }
+              SimTime heartbeat_interval = 2 * kSecond)
+      : host_(host),
+        coord_(coord),
+        heartbeat_interval_(heartbeat_interval),
+        heartbeat_rpc_{.attempt_timeout = heartbeat_interval,
+                       .max_attempts = 1,
+                       .idempotent = false} {}
 
   ~CoordClient() { Stop(); }
   CoordClient(const CoordClient&) = delete;
@@ -89,12 +83,11 @@ class CoordClient {
 
   SessionId session() const noexcept { return session_; }
   bool registered() const noexcept { return session_ != 0; }
-  Policies& policies() noexcept { return policies_; }
 
   /// Send time of the most recent exchange the service is known to have
   /// processed (registration or acked heartbeat). The service measures
   /// session expiry from *its* receipt of our traffic, which is no earlier
-  /// than this, so `last_ack_time() + session_timeout` lower-bounds the
+  /// than this, so `last_ack_time() + kSessionTimeout` lower-bounds the
   /// instant a successor could possibly be elected. Lease granting uses
   /// this to never issue a lease that could outlive this node's tenure.
   SimTime last_ack_time() const noexcept { return last_ack_; }
@@ -121,7 +114,7 @@ class CoordClient {
   }
 
   /// Opens a session (joining `group` in `initial` state) and starts
-  /// heartbeating. Retries under `policies().register_rpc` until the
+  /// heartbeating. Retries under kOpenSessionRpc until the
   /// service answers or Stop() cancels the attempt.
   void Register(GroupId group, ServerState initial, ViewCallback done) {
     auto req = std::make_shared<CoordRequestMsg>();
@@ -133,7 +126,7 @@ class CoordClient {
     hooks.cancelled = [this, epoch = epoch_] { return epoch != epoch_; };
     const SimTime sent = host_.sim().Now();
     net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.register_rpc,
+        host_, coord_, std::move(req), kOpenSessionRpc,
         [this, sent, done = std::move(done)](Result<net::MessagePtr> r) {
           if (!r.ok()) {
             done(r.status());
@@ -159,7 +152,7 @@ class CoordClient {
     req->group = group;
     req->session = session_;
     net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
+        host_, coord_, std::move(req), kCoordRpc,
         [done = std::move(done)](Result<net::MessagePtr> r) {
           if (!r.ok()) {
             done(r.status());
@@ -179,7 +172,7 @@ class CoordClient {
     req->session = session_;
     req->draw = draw;
     req->max_sn = max_sn;
-    net::RpcCall::Start(host_, coord_, std::move(req), policies_.trylock,
+    net::RpcCall::Start(host_, coord_, std::move(req), kTryLockRpc,
                         MapLock(std::move(done)));
   }
 
@@ -220,7 +213,7 @@ class CoordClient {
     req->group = group;
     req->session = session_;
     net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
+        host_, coord_, std::move(req), kCoordRpc,
         [done = std::move(done)](Result<net::MessagePtr> r) {
           if (!r.ok()) {
             done(r.status());
@@ -242,7 +235,7 @@ class CoordClient {
     req->state = state;
     req->fence = fence;
     net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
+        host_, coord_, std::move(req), kCoordRpc,
         [done = std::move(done)](Result<net::MessagePtr> r) {
           if (!r.ok()) {
             done(r.status());
@@ -267,7 +260,7 @@ class CoordClient {
     req->map_epoch = epoch;
     req->map_bytes = std::move(bytes);
     net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
+        host_, coord_, std::move(req), kCoordRpc,
         [done = std::move(done)](Result<net::MessagePtr> r) {
           if (!r.ok()) {
             done(r.status());
@@ -289,7 +282,7 @@ class CoordClient {
     req->subject = host_.id();
     req->revoke_targets = std::move(targets);
     net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
+        host_, coord_, std::move(req), kCoordRpc,
         [done = std::move(done)](Result<net::MessagePtr> r) {
           if (!r.ok()) {
             done(r.status());
@@ -306,7 +299,7 @@ class CoordClient {
     req->op = CoordOp::kGetMap;
     req->session = session_;
     net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
+        host_, coord_, std::move(req), kCoordRpc,
         [done = std::move(done)](Result<net::MessagePtr> r) {
           if (!r.ok()) {
             done(r.status(), 0, {});
@@ -323,7 +316,7 @@ class CoordClient {
     req->group = group;
     req->session = session_;
     net::RpcCall::Start(
-        host_, coord_, std::move(req), policies_.rpc,
+        host_, coord_, std::move(req), kCoordRpc,
         [done = std::move(done)](Result<net::MessagePtr> r) {
           if (!r.ok()) {
             done(r.status());
@@ -419,7 +412,7 @@ class CoordClient {
           auto hb = std::make_shared<HeartbeatMsg>();
           hb->session = session_;
           const SimTime sent = host_.sim().Now();
-          net::RpcCall::Start(host_, coord_, hb, policies_.heartbeat,
+          net::RpcCall::Start(host_, coord_, hb, heartbeat_rpc_,
                               [this, sent](Result<net::MessagePtr> r) {
                                 // Timeouts are fine (transient partition);
                                 // an explicit "session expired" is terminal.
@@ -441,7 +434,7 @@ class CoordClient {
   net::Host& host_;
   NodeId coord_;
   SimTime heartbeat_interval_;
-  Policies policies_;
+  net::RpcPolicy heartbeat_rpc_;  ///< one per beat, never retried
   SessionId session_ = 0;
   SimTime last_ack_ = 0;     ///< see last_ack_time()
   std::uint64_t epoch_ = 0;  ///< bumped by Stop(); cancels in-flight joins

@@ -14,6 +14,11 @@ namespace mams::coord {
 
 using SessionId = std::uint64_t;
 
+/// The service expires a session that has not heartbeated for this long
+/// (paper §IV.B: 2 s heartbeats, 5 s timeout). The one definition: the
+/// service's expiry scan and the active's lease-grant bound both read it.
+inline constexpr SimTime kSessionTimeout = 5 * kSecond;
+
 enum class CoordOp : std::uint8_t {
   kRegister,       ///< join a group with an initial state; opens a session
   kSetState,       ///< change own or (as lock holder) a peer's state

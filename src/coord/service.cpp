@@ -15,8 +15,7 @@ CoordService::CoordService(net::Network& network, std::string name,
             // Every committed command can flip the global view, so this is
             // the one place where registered invariant probes are checked.
             sim().obs().probes().Evaluate();
-          },
-          options.paxos),
+          }),
       options_(options) {
   auto& metrics = sim().obs().metrics();
   sessions_opened_ = metrics.counter("coord.sessions_opened");
@@ -36,7 +35,7 @@ CoordService::CoordService(net::Network& network, std::string name,
 
 void CoordService::OnStart() {
   expiry_timer_ = std::make_unique<sim::PeriodicTimer>(
-      sim(), options_.expiry_scan_period, [this] { ScanSessions(); });
+      sim(), kExpiryScanPeriod, [this] { ScanSessions(); });
   expiry_timer_->Start();
 }
 
@@ -404,7 +403,7 @@ void CoordService::ScanSessions() {
   const SimTime now = sim().Now();
   std::vector<Session> expired;
   for (const auto& [id, s] : sessions_) {
-    if (now - s.last_heartbeat > options_.session_timeout) {
+    if (now - s.last_heartbeat > kSessionTimeout) {
       expired.push_back(s);
     }
   }
@@ -476,8 +475,7 @@ CoordEnsemble::CoordEnsemble(net::Network& network, int replicas,
         network, "coord" + std::to_string(i),
         [m](paxos::InstanceId, const paxos::Value& v) {
           m->Apply(Command::Deserialize(v));
-        },
-        options.paxos));
+        }));
     peer_ids.push_back(backends_.back()->id());
   }
   frontend_->SetPeers(peer_ids);

@@ -28,12 +28,11 @@
 
 namespace mams::coord {
 
+/// How often the frontend scans for sessions older than kSessionTimeout.
+inline constexpr SimTime kExpiryScanPeriod = 250 * kMillisecond;
+
 struct CoordOptions {
-  SimTime heartbeat_interval = 2 * kSecond;   ///< client side (paper §IV.B)
-  SimTime session_timeout = 5 * kSecond;      ///< paper §IV.B
-  SimTime expiry_scan_period = 250 * kMillisecond;
   SimTime election_window = 50 * kMillisecond;
-  paxos::ReplicaOptions paxos;
 };
 
 class CoordService : public paxos::Replica {
@@ -43,8 +42,6 @@ class CoordService : public paxos::Replica {
 
   /// Wires the consensus peer set (frontend id must be peers[0]).
   using paxos::Replica::SetPeers;
-
-  const CoordOptions& options() const noexcept { return options_; }
 
   /// Read-only view snapshot for in-process observers (benches, tests).
   const GroupView& PeekView(GroupId group) { return machine_.view(group); }

@@ -70,6 +70,8 @@ constexpr SimTime kMaxParkWait = 500 * kMillisecond;
 /// ClientLeaseOptions). Also the backstop for lost revocation acks: a
 /// conflicting mutation's reply is held at most this long.
 constexpr SimTime kLeaseTtl = 2 * kSecond;
+static_assert(kLeaseTtl < coord::kSessionTimeout,
+              "a lease must expire before the granter's session can");
 /// Cap on outstanding (directory, client) grants; at the cap, reads are
 /// served without a lease rather than evicting someone else's.
 constexpr std::size_t kMaxLeaseGrants = 4096;
@@ -200,8 +202,7 @@ MdsServer::MdsServer(net::Network& network, std::string name,
       JoinGroup(ServerState::kJunior);
     }
   });
-  ssp_ = std::make_unique<storage::SspClient>(*this, std::move(ssp_pool),
-                                              options_.ssp);
+  ssp_ = std::make_unique<storage::SspClient>(*this, std::move(ssp_pool));
   RegisterHandlers();
 }
 
@@ -751,14 +752,8 @@ void MdsServer::UpgradeStep5CatchUp(NodeId source, SerialNumber target_sn) {
        before = last_sn_](Result<net::MessagePtr> r) {
         if (!upgrade_in_progress_) return;
         if (r.ok()) {
-          const auto& resp = net::Cast<RenewJournalReplyMsg>(r.value());
-          for (const auto& b : resp.batches) {
-            if (b.sn > last_sn_) {
-              pending_batches_.emplace(
-                  b.sn, std::make_shared<const journal::Batch>(b));
-            }
-          }
-          ApplyReadyBatches();
+          ApplyFetchedBatches(
+              net::Cast<RenewJournalReplyMsg>(r.value()).batches);
         }
         if (r.ok() && last_sn_ > before) {
           UpgradeStep5CatchUp(source, target_sn);  // next chunk
@@ -1056,14 +1051,14 @@ void MdsServer::MaybeGrantLease(const ClientRequestMsg& req,
     return;
   }
   // Never issue a grant that could outlive this node's tenure: the
-  // coordination service expires our session `session_timeout` after its
+  // coordination service expires our session kSessionTimeout after its
   // last confirmed contact, and a successor active (which starts
   // lease-free) can only be elected after that expiry. `last_ack_time()`
   // under-approximates the contact instant, so this check is conservative
   // even while partitioned.
   const SimTime now = sim().Now();
   if (now + kLeaseTtl >
-      coord_client_->last_ack_time() + options_.session_timeout)
+      coord_client_->last_ack_time() + coord::kSessionTimeout)
     return;
   const std::string dir = req.op == ClientOp::kListDir
                               ? req.path
@@ -1839,6 +1834,16 @@ void MdsServer::ApplyReadyBatches() {
   }
 }
 
+void MdsServer::ApplyFetchedBatches(
+    const std::vector<journal::Batch>& batches) {
+  for (const auto& b : batches) {
+    if (b.sn > last_sn_) {
+      pending_batches_.emplace(b.sn, std::make_shared<const journal::Batch>(b));
+    }
+  }
+  ApplyReadyBatches();
+}
+
 std::size_t MdsServer::ApplyBatch(
     const std::shared_ptr<const journal::Batch>& batch) {
   // Parallel apply: plan the batch into conflict-free waves from each
@@ -1886,16 +1891,8 @@ void MdsServer::RequestBackfill(NodeId from) {
                       [this](Result<net::MessagePtr> r) {
                         backfill_inflight_ = false;
                         if (!r.ok()) return;
-                        const auto& resp =
-                            net::Cast<RenewJournalReplyMsg>(r.value());
-                        for (const auto& b : resp.batches) {
-                          if (b.sn > last_sn_) {
-                            pending_batches_.emplace(
-                                b.sn,
-                                std::make_shared<const journal::Batch>(b));
-                          }
-                        }
-                        ApplyReadyBatches();
+                        ApplyFetchedBatches(
+                            net::Cast<RenewJournalReplyMsg>(r.value()).batches);
                       });
 }
 

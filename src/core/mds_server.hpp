@@ -138,7 +138,6 @@ class MdsServer : public net::Host {
   const fsns::Tree& tree() const noexcept { return tree_; }
   fsns::Tree& mutable_tree() noexcept { return tree_; }
   const fsns::BlockMap& blocks() const noexcept { return blocks_; }
-  const MdsOptions& options() const noexcept { return options_; }
   GroupId group() const noexcept { return options_.group; }
 
   struct Counters {
@@ -206,9 +205,6 @@ class MdsServer : public net::Host {
   /// Pre-populates the namespace directly (bench setup; bypasses journal).
   void Preload(const std::function<void(fsns::Tree&)>& fn) { fn(tree_); }
   void SetLastSn(SerialNumber sn) { last_sn_ = sn; }
-
-  /// Forces an image checkpoint now (bench setup).
-  void CheckpointNow() { WriteCheckpoint(); }
 
  protected:
   void OnStart() override;
@@ -307,6 +303,8 @@ class MdsServer : public net::Host {
   void HandleJournalPrepare(const net::Envelope& env,
                             const net::MessagePtr& msg, const ReplyFn& reply);
   void ApplyReadyBatches();
+  /// Queues every fetched batch above last_sn_, then applies what is ready.
+  void ApplyFetchedBatches(const std::vector<journal::Batch>& batches);
   void RequestBackfill(NodeId from);
   /// Applies a replicated batch through its dependency plan (see
   /// journal/apply_plan.hpp); returns the plan's critical-path slot count

@@ -8,7 +8,6 @@
 #include "common/types.hpp"
 #include "journal/writer.hpp"
 #include "shard/partition_map.hpp"
-#include "storage/ssp.hpp"
 
 namespace mams::core {
 
@@ -83,9 +82,9 @@ struct StandbyReadOptions {
 /// or a successor active (which starts lease-free) could commit conflicting
 /// mutations while a client still trusts its cache. Grants are therefore
 /// issued only while `now + ttl <= last confirmed session contact +
-/// session_timeout`, and the ttl (2 s, kLeaseTtl in mds_server.cpp, as is
-/// the 4096-grant cap) must stay below the coordination session timeout
-/// (5 s) for that window to ever be open.
+/// coord::kSessionTimeout`, and the ttl (2 s, kLeaseTtl in mds_server.cpp,
+/// as is the 4096-grant cap) must stay below that timeout (5 s) for the
+/// window to ever be open; a static_assert there checks it.
 struct ClientLeaseOptions {
   /// Master switch: active-served GetFileInfo/ListDir replies carry a
   /// directory lease for the read's parent (stat) or target (listdir).
@@ -109,7 +108,6 @@ struct MdsOptions {
 
   // Coordination (paper Section IV.B).
   SimTime heartbeat_interval = 2 * kSecond;
-  SimTime session_timeout = 5 * kSecond;
 
   // Journal synchronization.
   journal::Writer::Options writer;
@@ -130,7 +128,6 @@ struct MdsOptions {
   /// Live standby apply is not CPU-charged either way (unchanged).
   int apply_threads = 4;
 
-  storage::SspOptions ssp;
   /// When true (MAMS as specified) a batch completes only after the SSP
   /// copy is durable; false writes the SSP copy asynchronously (the
   /// ablation_ssp_vs_direct variant).

@@ -262,7 +262,6 @@ class Tree {
       const std::function<void(const std::string&, const Inode&)>& fn) const;
 
  private:
-  Inode& Mutable(InodeId id) { return inodes_.at(id); }
   const Inode* Resolve(std::string_view path) const;
   Inode* ResolveMutable(std::string_view path);
 

@@ -17,11 +17,13 @@
 
 namespace mams::journal {
 
+/// A batch seals once its pending records encode to this many bytes.
+inline constexpr std::size_t kMaxBatchBytes = 256 << 10;
+
 class Writer {
  public:
   struct Options {
     std::size_t max_batch_records = 64;
-    std::size_t max_batch_bytes = 256 << 10;
     SimTime max_batch_delay = 2 * kMillisecond;
   };
 
@@ -52,7 +54,7 @@ class Writer {
     pending_.push_back(std::move(record));
     const TxId assigned = pending_.back().txid;
     if (pending_.size() >= options_.max_batch_records ||
-        pending_bytes_ >= options_.max_batch_bytes) {
+        pending_bytes_ >= kMaxBatchBytes) {
       Flush();
     } else if (!flush_timer_.pending()) {
       flush_timer_ = sim_.After(options_.max_batch_delay, [this] { Flush(); });

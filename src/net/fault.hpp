@@ -11,8 +11,6 @@
 #pragma once
 
 #include <map>
-#include <set>
-#include <utility>
 
 #include "net/network.hpp"
 #include "sim/process.hpp"
@@ -50,37 +48,6 @@ class FaultInjector {
     });
   }
 
-  /// Blocks one specific pair both ways (asymmetric partitions are built
-  /// from several pair cuts).
-  void PartitionPair(NodeId a, NodeId b) {
-    pairs_.insert(OrderedPair(a, b));
-    net_.Partition(a, b);
-  }
-
-  void HealPair(NodeId a, NodeId b) {
-    pairs_.erase(OrderedPair(a, b));
-    net_.Heal(a, b);
-  }
-
-  /// Directional gray failure: kill only the transmit half of `node`'s
-  /// link (it hears the world but cannot answer) or only the receive half
-  /// (it talks into the void). HealEverything restores both halves.
-  void CutOutbound(NodeId node) {
-    directional_.insert(node);
-    net_.SetSendUp(node, false);
-  }
-
-  void CutInbound(NodeId node) {
-    directional_.insert(node);
-    net_.SetRecvUp(node, false);
-  }
-
-  void RestoreDirections(NodeId node) {
-    directional_.erase(node);
-    net_.SetSendUp(node, true);
-    net_.SetRecvUp(node, true);
-  }
-
   // --- timing faults --------------------------------------------------------
 
   /// Raises delivery jitter by `extra` for `duration` (a congested-switch
@@ -111,8 +78,8 @@ class FaultInjector {
 
   // --- global heal ----------------------------------------------------------
 
-  /// Restores every link this injector cut, heals every pair it
-  /// partitioned, and clears any jitter burst. Pending timed restores
+  /// Restores every link this injector cut and clears any jitter burst.
+  /// Pending timed restores
   /// become no-ops. Does not restart crashed processes — the caller owns
   /// process lifecycles.
   void HealEverything() {
@@ -120,13 +87,6 @@ class FaultInjector {
       ++epoch;
       net_.SetLinkUp(node, true);
     }
-    for (const auto& [a, b] : pairs_) net_.Heal(a, b);
-    pairs_.clear();
-    for (NodeId node : directional_) {
-      net_.SetSendUp(node, true);
-      net_.SetRecvUp(node, true);
-    }
-    directional_.clear();
     ++jitter_epoch_;
     net_.set_extra_jitter(0);
   }
@@ -134,14 +94,8 @@ class FaultInjector {
   Network& network() noexcept { return net_; }
 
  private:
-  static std::pair<NodeId, NodeId> OrderedPair(NodeId a, NodeId b) {
-    return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-  }
-
   Network& net_;
   std::map<NodeId, std::uint64_t> cut_epoch_;
-  std::set<std::pair<NodeId, NodeId>> pairs_;
-  std::set<NodeId> directional_;
   std::uint64_t jitter_epoch_ = 0;
 };
 

@@ -46,11 +46,14 @@ class Endpoint {
   virtual bool EndpointAlive() const = 0;
 };
 
+/// Effective GbE payload rate, shared by every link.
+inline constexpr double kBandwidthBytesPerSec = 110.0e6;
+/// Delivery delay of a message a node sends to itself.
+inline constexpr SimTime kLoopbackLatency = 5 * kMicrosecond;
+
 struct LinkParams {
   SimTime base_latency = 100 * kMicrosecond;  ///< LAN RTT/2 incl. stack
-  double bandwidth_bytes_per_sec = 110.0e6;   ///< effective GbE payload rate
   SimTime jitter = 30 * kMicrosecond;
-  SimTime loopback_latency = 5 * kMicrosecond;
 };
 
 class Network {
@@ -105,7 +108,6 @@ class Network {
 
   /// Link administration (fault injection).
   void SetLinkUp(NodeId node, bool up) { link_up_[node] = up; }
-  bool LinkUp(NodeId node) const { return link_up_[node]; }
 
   void Partition(NodeId a, NodeId b) { partitioned_.insert(Key(a, b)); }
   void Heal(NodeId a, NodeId b) { partitioned_.erase(Key(a, b)); }
@@ -116,8 +118,6 @@ class Network {
   /// host). Checked at send and delivery time like every other fault.
   void SetSendUp(NodeId node, bool up) { send_up_[node] = up; }
   void SetRecvUp(NodeId node, bool up) { recv_up_[node] = up; }
-  bool SendUp(NodeId node) const { return send_up_[node]; }
-  bool RecvUp(NodeId node) const { return recv_up_[node]; }
 
   /// Additional queueing noise applied on top of LinkParams::jitter to
   /// every non-loopback message until reset to 0 — a clock-independent
@@ -171,10 +171,10 @@ class Network {
   }
 
   SimTime TransferDelay(const Envelope& env) {
-    if (env.from == env.to) return params_.loopback_latency;
+    if (env.from == env.to) return kLoopbackLatency;
     const double bytes = static_cast<double>(env.payload->ByteSize());
     const auto wire = static_cast<SimTime>(
-        bytes / params_.bandwidth_bytes_per_sec * static_cast<double>(kSecond));
+        bytes / kBandwidthBytesPerSec * static_cast<double>(kSecond));
     const SimTime jitter_bound = params_.jitter + extra_jitter_;
     const SimTime jitter =
         jitter_bound > 0

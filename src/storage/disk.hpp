@@ -11,11 +11,14 @@
 
 namespace mams::storage {
 
+/// Every modelled disk shares the random-access charge and streaming
+/// rates; devices differ only in their per-op charge when hot.
+inline constexpr SimTime kDiskSeekLatency = 4 * kMillisecond;
+inline constexpr double kDiskReadBytesPerSec = 100.0e6;
+inline constexpr double kDiskWriteBytesPerSec = 90.0e6;
+
 struct DiskParams {
-  SimTime seek_latency = 4 * kMillisecond;        ///< random access charge
-  double read_bytes_per_sec = 100.0e6;            ///< streaming read
-  double write_bytes_per_sec = 90.0e6;            ///< streaming write
-  SimTime sequential_latency = 120 * kMicrosecond;///< per-op charge when hot
+  SimTime sequential_latency = 120 * kMicrosecond;  ///< per-op charge when hot
 };
 
 class DiskModel {
@@ -24,22 +27,22 @@ class DiskModel {
 
   /// Cost of appending `bytes` to a hot sequential stream (journal).
   SimTime AppendCost(std::uint64_t bytes) const noexcept {
-    return params_.sequential_latency + Stream(bytes, params_.write_bytes_per_sec);
+    return params_.sequential_latency + Stream(bytes, kDiskWriteBytesPerSec);
   }
 
   /// Cost of a random write of `bytes` (image checkpoint).
   SimTime WriteCost(std::uint64_t bytes) const noexcept {
-    return params_.seek_latency + Stream(bytes, params_.write_bytes_per_sec);
+    return kDiskSeekLatency + Stream(bytes, kDiskWriteBytesPerSec);
   }
 
   /// Cost of a sequential read of `bytes` starting cold (image load).
   SimTime ReadCost(std::uint64_t bytes) const noexcept {
-    return params_.seek_latency + Stream(bytes, params_.read_bytes_per_sec);
+    return kDiskSeekLatency + Stream(bytes, kDiskReadBytesPerSec);
   }
 
   /// Cost of a hot sequential read (journal tailing).
   SimTime TailCost(std::uint64_t bytes) const noexcept {
-    return params_.sequential_latency + Stream(bytes, params_.read_bytes_per_sec);
+    return params_.sequential_latency + Stream(bytes, kDiskReadBytesPerSec);
   }
 
   const DiskParams& params() const noexcept { return params_; }

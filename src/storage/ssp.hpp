@@ -1,6 +1,6 @@
 // SspClient — the metadata servers' view of the shared storage pool.
 //
-// Placement: each shared file is replicated on `replication` pool nodes
+// Placement: each shared file is replicated on kSspReplication pool nodes
 // chosen by consistent hashing of the file name over the pool membership.
 // Appends go to every replica; the operation completes on the first ACK
 // (standby 2PC, not the SSP, is the primary redundancy path for journal
@@ -23,21 +23,18 @@
 
 namespace mams::storage {
 
-struct SspOptions {
-  int replication = 2;
-  SimTime write_timeout = 2 * kSecond;
-  SimTime read_timeout = 5 * kSecond;
-  std::uint64_t read_chunk_bytes = 4u << 20;
-};
+/// Replicas per shared file, per-call write/read deadlines, and the most
+/// bytes one read returns.
+inline constexpr std::size_t kSspReplication = 2;
+inline constexpr SimTime kSspWriteTimeout = 2 * kSecond;
+inline constexpr SimTime kSspReadTimeout = 5 * kSecond;
+inline constexpr std::uint64_t kSspReadChunkBytes = 4u << 20;
 
 class SspClient {
  public:
-  using Options = SspOptions;
-
-  SspClient(net::Host& host, std::vector<NodeId> pool, Options options = {})
+  SspClient(net::Host& host, std::vector<NodeId> pool)
       : host_(host),
         pool_(std::move(pool)),
-        options_(options),
         obs_(&host.network().sim().obs()),
         appends_(obs_->metrics().counter("ssp.append")),
         append_fails_(obs_->metrics().counter("ssp.append_fail")),
@@ -54,8 +51,7 @@ class SspClient {
     if (pool_.empty()) return replicas;
     const std::size_t n = pool_.size();
     const std::size_t start = Fnv1a(file) % n;
-    const std::size_t count =
-        std::min<std::size_t>(static_cast<std::size_t>(options_.replication), n);
+    const std::size_t count = std::min(kSspReplication, n);
     for (std::size_t i = 0; i < count; ++i) {
       replicas.push_back(pool_[(start + i) % n]);
     }
@@ -91,7 +87,7 @@ class SspClient {
       auto msg = std::make_shared<SspWriteMsg>();
       msg->file = file;
       msg->record = record;
-      host_.Call(replica, msg, options_.write_timeout,
+      host_.Call(replica, msg, kSspWriteTimeout,
                  [state](Result<net::MessagePtr> result) {
                    --state->remaining;
                    if (state->finished) return;
@@ -122,7 +118,7 @@ class SspClient {
     auto msg = std::make_shared<SspReadMsg>();
     msg->file = file;
     msg->after_sn = after_sn;
-    msg->max_bytes = options_.read_chunk_bytes;
+    msg->max_bytes = kSspReadChunkBytes;
     ReadWithFailover(file, std::move(msg), std::move(done));
   }
 
@@ -137,9 +133,9 @@ class SspClient {
     auto msg = std::make_shared<SspReadMsg>();
     msg->file = file;
     msg->after_sn = after_sn;
-    msg->max_bytes = options_.read_chunk_bytes;
+    msg->max_bytes = kSspReadChunkBytes;
     reads_->Add();
-    host_.Call(replica, std::move(msg), options_.read_timeout,
+    host_.Call(replica, std::move(msg), kSspReadTimeout,
                [done = std::move(done)](Result<net::MessagePtr> result) {
                  if (!result.ok()) {
                    done(result.status());
@@ -156,7 +152,7 @@ class SspClient {
     msg->file = file;
     msg->use_index = true;
     msg->from_index = from_index;
-    msg->max_bytes = options_.read_chunk_bytes;
+    msg->max_bytes = kSspReadChunkBytes;
     ReadWithFailover(file, std::move(msg), std::move(done));
   }
 
@@ -190,7 +186,7 @@ class SspClient {
   /// replica caches out of the picture.
   net::RpcPolicy FailoverPolicy(std::size_t targets) const {
     net::RpcPolicy policy;
-    policy.attempt_timeout = options_.read_timeout;
+    policy.attempt_timeout = kSspReadTimeout;
     policy.max_attempts = static_cast<int>(targets);
     policy.backoff_base = 0;
     policy.backoff_cap = 0;
@@ -255,7 +251,6 @@ class SspClient {
 
   net::Host& host_;
   std::vector<NodeId> pool_;
-  Options options_;
   obs::Observability* obs_;
   obs::Counter* appends_;
   obs::Counter* append_fails_;

@@ -45,8 +45,7 @@ struct LoadEngineOptions {
   Loop loop = Loop::kOpen;
 
   // --- closed loop -------------------------------------------------------
-  int sessions = 8;             ///< fixed pool size
-  bool stop_on_failure = false; ///< halt the whole engine on first failure
+  int sessions = 8;  ///< fixed pool size
   /// Optional pre-existing files handed to the sessions' op streams
   /// (round-robin) so read/delete/rename workloads start warm.
   const std::vector<std::string>* seed_files = nullptr;
@@ -210,10 +209,7 @@ class LoadEngine {
   }
 
   void OnClosedDone(int session, SimTime issued, const Status& status) {
-    if (Record(issued, status) && options_.stop_on_failure) {
-      running_ = false;
-      return;
-    }
+    Record(issued, status);
     IssueClosed(session);
   }
 
@@ -406,26 +402,24 @@ class LoadEngine {
     return Dir() + "/n" + std::to_string(rng_.Below(next_file_ ? next_file_ : 1));
   }
 
-  /// Shared outcome recording; returns true when the op was a genuine
-  /// service failure. AlreadyExists/NotFound are successful server round
-  /// trips for the throughput and MTTR view (the service answered);
-  /// Unavailable and TimedOut are real failures.
-  bool Record(SimTime issued, const Status& status) {
+  /// Shared outcome recording. AlreadyExists/NotFound are successful
+  /// server round trips for the throughput and MTTR view (the service
+  /// answered); Unavailable and TimedOut are real failures.
+  void Record(SimTime issued, const Status& status) {
     const SimTime now = sim_.Now();
     const bool service_ok = status.code() != StatusCode::kUnavailable &&
                             status.code() != StatusCode::kTimedOut;
-    if (service_ok) {
-      ++completed_;
-      rate_.Record(now);
-      latencies_.Record(now - issued);
-      if (probe_.first_failure >= 0 && probe_.first_success_after < 0) {
-        probe_.first_success_after = now;
-      }
-      return false;
+    if (!service_ok) {
+      ++failed_;
+      if (probe_.first_failure < 0) probe_.first_failure = now;
+      return;
     }
-    ++failed_;
-    if (probe_.first_failure < 0) probe_.first_failure = now;
-    return true;
+    ++completed_;
+    rate_.Record(now);
+    latencies_.Record(now - issued);
+    if (probe_.first_failure >= 0 && probe_.first_success_after < 0) {
+      probe_.first_success_after = now;
+    }
   }
 
   sim::Simulator& sim_;

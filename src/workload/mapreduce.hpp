@@ -23,15 +23,18 @@ namespace mams::workload {
 
 class MapReduceJob {
  public:
+  /// Task model: input split size, concurrent map/reduce slots, mean
+  /// (exponential) CPU seconds per task, and the shuffle barrier.
+  static constexpr std::uint64_t kSplitBytes = 64ull << 20;
+  static constexpr int kMapSlots = 20;
+  static constexpr int kReduceSlots = 10;
+  static constexpr double kMapCpuMeanS = 6.0;
+  static constexpr double kReduceCpuMeanS = 10.0;
+  static constexpr double kShuffleS = 2.0;
+
   struct Options {
     std::uint64_t input_bytes = 5ull << 30;  ///< 5 GB wordcount input
-    std::uint64_t split_bytes = 64ull << 20;
-    int map_slots = 20;
     int reduce_tasks = 10;
-    int reduce_slots = 10;
-    double map_cpu_mean_s = 6.0;
-    double reduce_cpu_mean_s = 10.0;
-    double shuffle_s = 2.0;
   };
 
   MapReduceJob(sim::Simulator& sim, ClientApi api, Options options,
@@ -41,8 +44,7 @@ class MapReduceJob {
         options_(options),
         rng_(seed) {
     map_tasks_ = static_cast<int>(
-        (options_.input_bytes + options_.split_bytes - 1) /
-        options_.split_bytes);
+        (options_.input_bytes + kSplitBytes - 1) / kSplitBytes);
   }
 
   int map_tasks() const noexcept { return map_tasks_; }
@@ -56,7 +58,7 @@ class MapReduceJob {
   void Run(std::function<void()> done) {
     done_ = std::move(done);
     start_time_ = sim_.Now();
-    const int first_wave = std::min(options_.map_slots, map_tasks_);
+    const int first_wave = std::min(kMapSlots, map_tasks_);
     for (int i = 0; i < first_wave; ++i) StartMap(next_map_++);
   }
 
@@ -96,7 +98,7 @@ class MapReduceJob {
         return;
       }
       const SimTime cpu = static_cast<SimTime>(
-          rng_.Exponential(options_.map_cpu_mean_s) * kSecond);
+          rng_.Exponential(kMapCpuMeanS) * kSecond);
       sim_.After(cpu, [this] { FinishMap(); });
     });
   }
@@ -108,9 +110,8 @@ class MapReduceJob {
       StartMap(next_map_++);
     } else if (maps_finished_ == map_tasks_) {
       // Shuffle barrier, then launch the reduce wave.
-      sim_.After(static_cast<SimTime>(options_.shuffle_s * kSecond), [this] {
-        const int wave = std::min(options_.reduce_slots,
-                                  options_.reduce_tasks);
+      sim_.After(static_cast<SimTime>(kShuffleS * kSecond), [this] {
+        const int wave = std::min(kReduceSlots, options_.reduce_tasks);
         for (int r = 0; r < wave; ++r) StartReduce(next_reduce_++);
       });
     }
@@ -118,7 +119,7 @@ class MapReduceJob {
 
   void StartReduce(int task) {
     const SimTime cpu = static_cast<SimTime>(
-        rng_.Exponential(options_.reduce_cpu_mean_s) * kSecond);
+        rng_.Exponential(kReduceCpuMeanS) * kSecond);
     sim_.After(cpu, [this, task] { CommitReduce(task); });
   }
 
