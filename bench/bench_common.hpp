@@ -10,11 +10,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "cluster/cfs.hpp"
 #include "common/types.hpp"
 #include "metrics/series.hpp"
@@ -23,11 +23,6 @@
 #include "workload/load_engine.hpp"
 
 namespace mams::bench {
-
-inline int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
 
 inline int BenchSeconds() { return EnvInt("MAMS_BENCH_SECONDS", 6); }
 inline int BenchTrials() { return EnvInt("MAMS_BENCH_TRIALS", 10); }

@@ -19,8 +19,6 @@
 // Environment knobs:
 //   MAMS_BENCH_SECONDS — measured window per run (default 6)
 //   MAMS_BENCH_SEED    — base RNG seed (default 42)
-//   MAMS_BENCH_OUT     — output JSON path (default BENCH_apply.json)
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -118,14 +116,11 @@ int main() {
   const TxId latest = core::RecoveryTool::LatestRecoverableTxid(store, 0);
 
   core::RecoveryReport serial;
-  const auto wall0 = std::chrono::steady_clock::now();
+  const double wall0 = bench::WallSeconds();
   auto serial_tree = core::RecoveryTool::RebuildAt(store, 0, latest, &serial,
                                                    nullptr,
                                                    /*apply_threads=*/1);
-  const double replay_wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall0)
-          .count();
+  const double replay_wall_ms = (bench::WallSeconds() - wall0) * 1e3;
   core::RecoveryReport parallel;
   auto parallel_tree = core::RecoveryTool::RebuildAt(
       store, 0, latest, &parallel, nullptr, /*apply_threads=*/4);
@@ -189,42 +184,26 @@ int main() {
               replay_speedup, trees_match ? "byte-identical trees" : "BROKEN");
   std::printf("pipelined commit gain depth 4 vs 1: %.2fx\n", pipeline_gain);
 
-  const char* out_path = std::getenv("MAMS_BENCH_OUT");
-  if (out_path == nullptr) out_path = "BENCH_apply.json";
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"apply\": {\n"
-               "    \"mix\": \"%s\",\n"
-               "    \"records_replayed\": %llu,\n"
-               "    \"batches_replayed\": %llu,\n"
-               "    \"records_per_batch\": %.2f,\n"
-               "    \"apply_waves\": %llu,\n"
-               "    \"serial_slots\": %llu,\n"
-               "    \"parallel_slots_4t\": %llu,\n"
-               "    \"replay_speedup_4t\": %.3f,\n"
-               "    \"replay_wall_ms\": %.1f,\n"
-               "    \"rebuild_matches_live_active\": %s,\n"
-               "    \"pipeline_depth1_ops_per_sec\": %.1f,\n"
-               "    \"pipeline_depth4_ops_per_sec\": %.1f,\n"
-               "    \"pipeline_gain_4_vs_1\": %.3f\n"
-               "  }\n"
-               "}\n",
-               bench::MixLabel(CreateHeavyMix()).c_str(),
-               static_cast<unsigned long long>(serial.records_replayed),
-               static_cast<unsigned long long>(serial.batches_replayed),
-               records_per_batch,
-               static_cast<unsigned long long>(parallel.apply_waves),
-               static_cast<unsigned long long>(serial.apply_slots),
-               static_cast<unsigned long long>(parallel.apply_slots),
-               replay_speedup, replay_wall_ms,
-               trees_match && matches_live ? "true" : "false",
-               depth1.ops_per_sec, depth4.ops_per_sec, pipeline_gain);
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
-  return trees_match && matches_live ? 0 : 1;
+  using bench::Json;
+  const int rc = bench::WriteReport(
+      "BENCH_apply.json",
+      Json::Object().Set(
+          "apply",
+          Json::Object()
+              .Set("mix", bench::MixLabel(CreateHeavyMix()))
+              .Set("records_replayed", serial.records_replayed)
+              .Set("batches_replayed", serial.batches_replayed)
+              .Set("records_per_batch", Json::Num(records_per_batch, 2))
+              .Set("apply_waves", parallel.apply_waves)
+              .Set("serial_slots", serial.apply_slots)
+              .Set("parallel_slots_4t", parallel.apply_slots)
+              .Set("replay_speedup_4t", Json::Num(replay_speedup, 3))
+              .Set("replay_wall_ms", Json::Num(replay_wall_ms, 1))
+              .Set("rebuild_matches_live_active", trees_match && matches_live)
+              .Set("pipeline_depth1_ops_per_sec",
+                   Json::Num(depth1.ops_per_sec, 1))
+              .Set("pipeline_depth4_ops_per_sec",
+                   Json::Num(depth4.ops_per_sec, 1))
+              .Set("pipeline_gain_4_vs_1", Json::Num(pipeline_gain, 3))));
+  return rc == 0 && trees_match && matches_live ? 0 : 1;
 }

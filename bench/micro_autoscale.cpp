@@ -23,7 +23,6 @@
 //
 // Environment knobs:
 //   MAMS_BENCH_SEED — base RNG seed (default 42)
-//   MAMS_BENCH_OUT  — output JSON path (default BENCH_autoscale.json)
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -158,37 +157,27 @@ int main() {
                              : 0.0;
   std::printf("\nelastic burst capacity: %.2fx static\n", speedup);
 
-  const char* out_path = std::getenv("MAMS_BENCH_OUT");
-  if (out_path == nullptr) out_path = "BENCH_autoscale.json";
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
+  using bench::Json;
+  if (bench::WriteReport(
+          "BENCH_autoscale.json",
+          Json::Object().Set(
+              "autoscale",
+              Json::Object()
+                  .Set("base_rate", Json::Num(kBaseRate, 0))
+                  .Set("burst_rate", Json::Num(kBaseRate * kBurstMult, 0))
+                  .Set("burst_seconds", Json::Num(kBurstLen, 0))
+                  .Set("static_burst_ops_per_sec",
+                       Json::Num(fixed.burst_ops_per_sec, 1))
+                  .Set("elastic_burst_ops_per_sec",
+                       Json::Num(elastic.burst_ops_per_sec, 1))
+                  .Set("speedup_elastic_vs_static", Json::Num(speedup, 3))
+                  .Set("static_p99_ms", Json::Num(fixed.p99_ms, 2))
+                  .Set("elastic_p99_ms", Json::Num(elastic.p99_ms, 2))
+                  .Set("elastic_scale_ups", elastic.scale_ups)
+                  .Set("elastic_scale_downs", elastic.scale_downs)
+                  .Set("elastic_standbys_end", elastic.standbys_end))) != 0) {
     return 1;
   }
-  std::fprintf(out,
-               "{\n"
-               "  \"autoscale\": {\n"
-               "    \"base_rate\": %.0f,\n"
-               "    \"burst_rate\": %.0f,\n"
-               "    \"burst_seconds\": %.0f,\n"
-               "    \"static_burst_ops_per_sec\": %.1f,\n"
-               "    \"elastic_burst_ops_per_sec\": %.1f,\n"
-               "    \"speedup_elastic_vs_static\": %.3f,\n"
-               "    \"static_p99_ms\": %.2f,\n"
-               "    \"elastic_p99_ms\": %.2f,\n"
-               "    \"elastic_scale_ups\": %llu,\n"
-               "    \"elastic_scale_downs\": %llu,\n"
-               "    \"elastic_standbys_end\": %d\n"
-               "  }\n"
-               "}\n",
-               kBaseRate, kBaseRate * kBurstMult, kBurstLen,
-               fixed.burst_ops_per_sec, elastic.burst_ops_per_sec, speedup,
-               fixed.p99_ms, elastic.p99_ms,
-               static_cast<unsigned long long>(elastic.scale_ups),
-               static_cast<unsigned long long>(elastic.scale_downs),
-               elastic.standbys_end);
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
 
   // Gate: elasticity must buy real burst capacity through the ordinary
   // catch-up path, and the controller must respect its bounds.

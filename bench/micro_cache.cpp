@@ -23,7 +23,6 @@
 // Environment knobs:
 //   MAMS_BENCH_SECONDS — measured window per run (default 6)
 //   MAMS_BENCH_SEED    — base RNG seed (default 42)
-//   MAMS_BENCH_OUT     — output JSON path (default BENCH_cache.json)
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -208,36 +207,26 @@ int main() {
               kHotDirs * kFilesPerDir,
               cache.equivalent ? "all views identical" : "DIVERGED");
 
-  const char* out_path = std::getenv("MAMS_BENCH_OUT");
-  if (out_path == nullptr) out_path = "BENCH_cache.json";
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
+  using bench::Json;
+  if (bench::WriteReport(
+          "BENCH_cache.json",
+          Json::Object().Set(
+              "cache",
+              Json::Object()
+                  .Set("mix", bench::MixLabel(HotReadMix()))
+                  .Set("sessions", kSessions)
+                  .Set("standbys", kStandbys)
+                  .Set("active_only_ops_per_sec",
+                       Json::Num(base.ops_per_sec, 1))
+                  .Set("offload_ops_per_sec", Json::Num(off.ops_per_sec, 1))
+                  .Set("cache_ops_per_sec", Json::Num(cache.ops_per_sec, 1))
+                  .Set("speedup_cache_vs_offload", Json::Num(vs_offload, 3))
+                  .Set("speedup_cache_vs_active_only", Json::Num(vs_active, 3))
+                  .Set("hit_rate", Json::Num(cache.hit_rate, 4))
+                  .Set("revocations", cache.cache_revocations)
+                  .Set("equivalence_ok", cache.equivalent))) != 0) {
     return 1;
   }
-  std::fprintf(out,
-               "{\n"
-               "  \"cache\": {\n"
-               "    \"mix\": \"%s\",\n"
-               "    \"sessions\": %d,\n"
-               "    \"standbys\": %d,\n"
-               "    \"active_only_ops_per_sec\": %.1f,\n"
-               "    \"offload_ops_per_sec\": %.1f,\n"
-               "    \"cache_ops_per_sec\": %.1f,\n"
-               "    \"speedup_cache_vs_offload\": %.3f,\n"
-               "    \"speedup_cache_vs_active_only\": %.3f,\n"
-               "    \"hit_rate\": %.4f,\n"
-               "    \"revocations\": %llu,\n"
-               "    \"equivalence_ok\": %s\n"
-               "  }\n"
-               "}\n",
-               bench::MixLabel(HotReadMix()).c_str(), kSessions, kStandbys,
-               base.ops_per_sec, off.ops_per_sec,
-               cache.ops_per_sec, vs_offload, vs_active, cache.hit_rate,
-               static_cast<unsigned long long>(cache.cache_revocations),
-               cache.equivalent ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
 
   // Gate: the cache must actually pay for itself and must never lie.
   if (!cache.equivalent) {

@@ -8,37 +8,28 @@
 // human-readable summary on stdout.
 //
 // Environment knobs:
-//   MAMS_BENCH_OUT        — output JSON path (default BENCH_namespace.json)
 //   MAMS_NS_DEPTH         — directory depth of the namespace (default 8)
 //   MAMS_NS_DIRS          — leaf directories (default 64)
 //   MAMS_NS_FILES_PER_DIR — files per leaf directory (default 256)
 //   MAMS_NS_RESOLVE_OPS   — resolve ops per mode (default 2,000,000)
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "common/rng.hpp"
 #include "fsns/path.hpp"
 #include "fsns/tree.hpp"
 
 namespace {
 
+using mams::bench::EnvInt;
+using mams::bench::Json;
+using mams::bench::WallSeconds;
 using mams::fsns::Inode;
 using mams::fsns::Tree;
-
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
-
-double Now() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Builds the deep namespace and returns every file path. Layout:
 /// /bench/p0/p1/.../p{depth-3}/d{k}/f{i} — `depth` directory levels
@@ -92,9 +83,9 @@ struct Throughput {
 template <typename Fn>
 Throughput Measure(std::uint64_t ops, Fn&& op) {
   Throughput t;
-  const double begin = Now();
+  const double begin = WallSeconds();
   for (std::uint64_t i = 0; i < ops; ++i) t.checksum += op(i);
-  const double elapsed = Now() - begin;
+  const double elapsed = WallSeconds() - begin;
   t.ops_per_sec = elapsed > 0 ? static_cast<double>(ops) / elapsed : 0;
   return t;
 }
@@ -130,9 +121,9 @@ int main() {
   Tree tree;
   double create_ops_per_sec = 0;
   {
-    const double begin = Now();
+    const double begin = WallSeconds();
     Populate(tree, paths);
-    const double elapsed = Now() - begin;
+    const double elapsed = WallSeconds() - begin;
     create_ops_per_sec =
         elapsed > 0 ? static_cast<double>(paths.size()) / elapsed : 0;
   }
@@ -203,37 +194,30 @@ int main() {
               " invalidations=%" PRIu64 "\n",
               cache_stats.hits, cache_stats.misses, cache_stats.invalidations);
 
-  const char* out_path = std::getenv("MAMS_BENCH_OUT");
-  if (out_path == nullptr) out_path = "BENCH_namespace.json";
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"micro_namespace\",\n"
-               "  \"namespace\": {\"depth\": %d, \"leaf_dirs\": %d, "
-               "\"files\": %zu},\n"
-               "  \"resolve\": {\n"
-               "    \"cache_on_ops_per_sec\": %.0f,\n"
-               "    \"cache_off_ops_per_sec\": %.0f,\n"
-               "    \"seed_walk_ops_per_sec\": %.0f,\n"
-               "    \"speedup_cache_on_vs_off\": %.3f,\n"
-               "    \"speedup_cache_on_vs_seed_walk\": %.3f\n"
-               "  },\n"
-               "  \"create_ops_per_sec\": %.0f,\n"
-               "  \"listdir_ops_per_sec\": %.0f,\n"
-               "  \"rename_ops_per_sec\": %.0f,\n"
-               "  \"cache\": {\"hits\": %" PRIu64 ", \"misses\": %" PRIu64
-               ", \"invalidations\": %" PRIu64 "}\n"
-               "}\n",
-               depth, dirs, paths.size(), cache_on.ops_per_sec,
-               cache_off.ops_per_sec, legacy.ops_per_sec, speedup_vs_off,
-               speedup_vs_legacy, create_ops_per_sec, list.ops_per_sec,
-               rename.ops_per_sec, cache_stats.hits, cache_stats.misses,
-               cache_stats.invalidations);
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
-  return 0;
+  return mams::bench::WriteReport(
+      "BENCH_namespace.json",
+      Json::Object()
+          .Set("bench", "micro_namespace")
+          .Set("namespace", Json::Object()
+                                .Set("depth", depth)
+                                .Set("leaf_dirs", dirs)
+                                .Set("files", paths.size()))
+          .Set("resolve",
+               Json::Object()
+                   .Set("cache_on_ops_per_sec",
+                        Json::Num(cache_on.ops_per_sec, 0))
+                   .Set("cache_off_ops_per_sec",
+                        Json::Num(cache_off.ops_per_sec, 0))
+                   .Set("seed_walk_ops_per_sec",
+                        Json::Num(legacy.ops_per_sec, 0))
+                   .Set("speedup_cache_on_vs_off", Json::Num(speedup_vs_off, 3))
+                   .Set("speedup_cache_on_vs_seed_walk",
+                        Json::Num(speedup_vs_legacy, 3)))
+          .Set("create_ops_per_sec", Json::Num(create_ops_per_sec, 0))
+          .Set("listdir_ops_per_sec", Json::Num(list.ops_per_sec, 0))
+          .Set("rename_ops_per_sec", Json::Num(rename.ops_per_sec, 0))
+          .Set("cache", Json::Object()
+                            .Set("hits", cache_stats.hits)
+                            .Set("misses", cache_stats.misses)
+                            .Set("invalidations", cache_stats.invalidations)));
 }

@@ -14,7 +14,6 @@
 // Environment knobs:
 //   MAMS_BENCH_SECONDS — measured window per run (default 6)
 //   MAMS_BENCH_SEED    — base RNG seed (default 42)
-//   MAMS_BENCH_OUT     — output JSON path (default BENCH_reads.json)
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -136,32 +135,25 @@ int main() {
               speedup_3s);
   std::printf("offload scaling 3 standbys vs 1: %.2fx\n", scaling_3s_vs_1s);
 
-  const char* out_path = std::getenv("MAMS_BENCH_OUT");
-  if (out_path == nullptr) out_path = "BENCH_reads.json";
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"reads\": {\n"
-               "    \"mix\": \"%s\",\n"
-               "    \"clients\": %d,\n"
-               "    \"sessions_per_client\": %d,\n"
-               "    \"active_only_ops_per_sec\": {\"1\": %.1f, \"2\": %.1f, "
-               "\"3\": %.1f},\n"
-               "    \"offload_ops_per_sec\": {\"1\": %.1f, \"2\": %.1f, "
-               "\"3\": %.1f},\n"
-               "    \"speedup_offload_vs_active_only_3s\": %.3f,\n"
-               "    \"scaling_offload_3s_vs_1s\": %.3f\n"
-               "  }\n"
-               "}\n",
-               bench::MixLabel(ReadHeavyMix()).c_str(), kClients,
-               kSessionsPerClient, active_only[1], active_only[2],
-               active_only[3], offload[1], offload[2], offload[3], speedup_3s,
-               scaling_3s_vs_1s);
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
-  return 0;
+  using bench::Json;
+  auto by_standbys = [](const double (&ops)[4]) {
+    return Json::Object()
+        .Set("1", Json::Num(ops[1], 1))
+        .Set("2", Json::Num(ops[2], 1))
+        .Set("3", Json::Num(ops[3], 1));
+  };
+  return bench::WriteReport(
+      "BENCH_reads.json",
+      Json::Object().Set(
+          "reads",
+          Json::Object()
+              .Set("mix", bench::MixLabel(ReadHeavyMix()))
+              .Set("clients", kClients)
+              .Set("sessions_per_client", kSessionsPerClient)
+              .Set("active_only_ops_per_sec", by_standbys(active_only))
+              .Set("offload_ops_per_sec", by_standbys(offload))
+              .Set("speedup_offload_vs_active_only_3s",
+                   Json::Num(speedup_3s, 3))
+              .Set("scaling_offload_3s_vs_1s",
+                   Json::Num(scaling_3s_vs_1s, 3))));
 }

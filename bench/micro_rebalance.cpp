@@ -15,7 +15,6 @@
 //
 // Environment knobs:
 //   MAMS_BENCH_SEED — base RNG seed (default 42)
-//   MAMS_BENCH_OUT  — output JSON path (default BENCH_rebalance.json)
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -165,38 +164,23 @@ int main() {
               static_cast<unsigned long long>(
                   cfs.client(0).counters().shard_bounces));
 
-  const char* out_path = std::getenv("MAMS_BENCH_OUT");
-  if (out_path == nullptr) out_path = "BENCH_rebalance.json";
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"rebalance\": {\n"
-               "    \"preload_files\": %zu,\n"
-               "    \"migrations\": %zu,\n"
-               "    \"entries_moved\": %llu,\n"
-               "    \"chunks\": %llu,\n"
-               "    \"migrate_seconds\": %.3f,\n"
-               "    \"entries_per_sec\": %.1f,\n"
-               "    \"cutover_unavail_ms_mean\": %.3f,\n"
-               "    \"cutover_unavail_ms_max\": %.3f,\n"
-               "    \"stat_latency_ms_pre\": %.3f,\n"
-               "    \"stat_latency_ms_post\": %.3f,\n"
-               "    \"stat_latency_ms_settled\": %.3f,\n"
-               "    \"client_shard_bounces\": %llu\n"
-               "  }\n"
-               "}\n",
-               paths.size(), completed,
-               static_cast<unsigned long long>(entries),
-               static_cast<unsigned long long>(chunks), migrate_seconds,
-               entries_per_sec, cutover_mean_ms, cutover_max_ms, pre_ms,
-               post_ms, settled_ms,
-               static_cast<unsigned long long>(
-                   cfs.client(0).counters().shard_bounces));
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
-  return 0;
+  using bench::Json;
+  return bench::WriteReport(
+      "BENCH_rebalance.json",
+      Json::Object().Set(
+          "rebalance",
+          Json::Object()
+              .Set("preload_files", paths.size())
+              .Set("migrations", completed)
+              .Set("entries_moved", entries)
+              .Set("chunks", chunks)
+              .Set("migrate_seconds", Json::Num(migrate_seconds, 3))
+              .Set("entries_per_sec", Json::Num(entries_per_sec, 1))
+              .Set("cutover_unavail_ms_mean", Json::Num(cutover_mean_ms, 3))
+              .Set("cutover_unavail_ms_max", Json::Num(cutover_max_ms, 3))
+              .Set("stat_latency_ms_pre", Json::Num(pre_ms, 3))
+              .Set("stat_latency_ms_post", Json::Num(post_ms, 3))
+              .Set("stat_latency_ms_settled", Json::Num(settled_ms, 3))
+              .Set("client_shard_bounces",
+                   cfs.client(0).counters().shard_bounces)));
 }

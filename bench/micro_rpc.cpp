@@ -15,16 +15,15 @@
 // human-readable summary on stdout.
 //
 // Environment knobs:
-//   MAMS_BENCH_OUT     — output JSON path (default BENCH_rpc.json)
 //   MAMS_RPC_OPS       — roundtrips per mode (default 200,000)
 //   MAMS_RPC_RETRY_OPS — ops on the retry path (default 20,000)
 #include <cinttypes>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
 
+#include "bench_report.hpp"
 #include "net/host.hpp"
 #include "net/message_types.hpp"
 #include "net/network.hpp"
@@ -34,19 +33,10 @@
 namespace {
 
 using namespace mams;
+using bench::EnvInt;
+using bench::WallSeconds;
 using net::Envelope;
 using net::MessagePtr;
-
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
-
-double Now() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct PingMsg final : net::Message {
   net::MsgType type() const noexcept override { return net::kTestPing; }
@@ -110,7 +100,7 @@ struct PathCost {
 template <typename Issue>
 PathCost Drive(Bench& b, std::uint64_t ops, Issue&& issue) {
   PathCost cost;
-  const double begin = Now();
+  const double begin = WallSeconds();
   const SimTime sim_begin = b.sim.Now();
   std::uint64_t completed = 0;
   for (std::uint64_t i = 0; i < ops; ++i) {
@@ -119,7 +109,7 @@ PathCost Drive(Bench& b, std::uint64_t ops, Issue&& issue) {
     });
     b.sim.RunAll();
   }
-  cost.wall_sec = Now() - begin;
+  cost.wall_sec = WallSeconds() - begin;
   if (completed != ops) {
     std::fprintf(stderr, "only %" PRIu64 "/%" PRIu64 " calls completed\n",
                  completed, ops);
@@ -212,34 +202,21 @@ int main() {
   std::printf("  dedup replay:          %8.3f us/op (sim %8.1f us)\n",
               dedup_cost.us_per_op, dedup_cost.sim_us_per_op);
 
-  const char* out_path = std::getenv("MAMS_BENCH_OUT");
-  if (out_path == nullptr) out_path = "BENCH_rpc.json";
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"micro_rpc\",\n"
-               "  \"ops\": %" PRIu64 ",\n"
-               "  \"retry_ops\": %" PRIu64 ",\n"
-               "  \"raw_call\": {\"us_per_op\": %.4f, \"sim_us_per_op\": "
-               "%.2f},\n"
-               "  \"rpc_call\": {\"us_per_op\": %.4f, \"sim_us_per_op\": "
-               "%.2f},\n"
-               "  \"policy_dispatch_overhead_us\": %.4f,\n"
-               "  \"retry_path\": {\"us_per_op\": %.4f, \"sim_us_per_op\": "
-               "%.2f},\n"
-               "  \"dedup_replay\": {\"us_per_op\": %.4f, \"sim_us_per_op\": "
-               "%.2f}\n"
-               "}\n",
-               ops, retry_ops, raw_cost.us_per_op, raw_cost.sim_us_per_op,
-               policy_cost.us_per_op, policy_cost.sim_us_per_op,
-               policy_overhead_us, retry_cost.us_per_op,
-               retry_cost.sim_us_per_op, dedup_cost.us_per_op,
-               dedup_cost.sim_us_per_op);
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
-  return 0;
+  auto path = [](const PathCost& c) {
+    return bench::Json::Object()
+        .Set("us_per_op", bench::Json::Num(c.us_per_op, 4))
+        .Set("sim_us_per_op", bench::Json::Num(c.sim_us_per_op, 2));
+  };
+  return bench::WriteReport(
+      "BENCH_rpc.json",
+      bench::Json::Object()
+          .Set("bench", "micro_rpc")
+          .Set("ops", ops)
+          .Set("retry_ops", retry_ops)
+          .Set("raw_call", path(raw_cost))
+          .Set("rpc_call", path(policy_cost))
+          .Set("policy_dispatch_overhead_us",
+               bench::Json::Num(policy_overhead_us, 4))
+          .Set("retry_path", path(retry_cost))
+          .Set("dedup_replay", path(dedup_cost)));
 }

@@ -15,9 +15,7 @@
 //
 // Environment knobs:
 //   MAMS_BENCH_SEED  — base RNG seed (default 42)
-//   MAMS_BENCH_OUT   — output JSON path (default BENCH_scale.json)
 //   MAMS_SCALE_MAX   — largest tier to run (default 100000)
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -110,7 +108,7 @@ TierStats RunTier(std::uint64_t sessions, ArrivalKind kind,
 
   LoadEngine engine(sim, bench::MakeApis(cfs), ScaleMix(), seed, opt);
 
-  const auto wall_start = std::chrono::steady_clock::now();
+  const double wall_start = bench::WallSeconds();
   const SimTime start = sim.Now();
   const SimTime cap = start + static_cast<SimTime>(
                                   (kRampSeconds + 60.0) *
@@ -120,7 +118,7 @@ TierStats RunTier(std::uint64_t sessions, ArrivalKind kind,
     sim.RunUntil(sim.Now() + kSecond);
   }
   engine.Stop();
-  const auto wall_end = std::chrono::steady_clock::now();
+  const double wall_end = bench::WallSeconds();
 
   TierStats st;
   st.sessions = sessions;
@@ -128,8 +126,7 @@ TierStats RunTier(std::uint64_t sessions, ArrivalKind kind,
   st.failed = engine.failed();
   st.peak_live = engine.peak_live_sessions();
   st.drained = engine.drained();
-  st.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
+  st.wall_seconds = wall_end - wall_start;
   const double virt_secs = ToSeconds(sim.Now() - start);
   st.ops_per_sec =
       virt_secs > 0 ? static_cast<double>(st.completed) / virt_secs : 0;
@@ -195,50 +192,41 @@ int main() {
               static_cast<unsigned long long>(tiers.front()),
               deterministic ? "ok" : "MISMATCH");
 
-  const char* out_path = std::getenv("MAMS_BENCH_OUT");
-  if (out_path == nullptr) out_path = "BENCH_scale.json";
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
+  using bench::Json;
+  char arrival[64];
+  std::snprintf(arrival, sizeof(arrival), "constant over %.1f s ramp",
+                kRampSeconds);
+  Json tier_rows = Json::Array();
+  for (const TierStats& st : stats) {
+    tier_rows.Push(
+        Json::Object()
+            .Set("sessions", st.sessions)
+            .Set("ops", st.completed)
+            .Set("ops_per_sec", Json::Num(st.ops_per_sec, 1))
+            .Set("sessions_per_wall_sec",
+                 Json::Num(st.sessions_per_wall_sec, 1))
+            .Set("p50_ms", Json::Num(st.p50_ms, 3))
+            .Set("p99_ms", Json::Num(st.p99_ms, 3))
+            .Set("wall_seconds", Json::Num(st.wall_seconds, 3))
+            .Set("peak_live", st.peak_live)
+            .Set("failed", st.failed)
+            .Set("drained", st.drained));
   }
-  std::fprintf(out,
-               "{\n"
-               "  \"scale\": {\n"
-               "    \"mix\": \"%s\",\n"
-               "    \"ops_per_session\": %u,\n"
-               "    \"arrival\": \"constant over %.1f s ramp\",\n"
-               "    \"tiers\": [\n",
-               bench::MixLabel(ScaleMix()).c_str(), kOpsPerSession,
-               kRampSeconds);
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    const TierStats& st = stats[i];
-    std::fprintf(out,
-                 "      {\"sessions\": %llu, \"ops\": %llu, "
-                 "\"ops_per_sec\": %.1f, \"sessions_per_wall_sec\": %.1f, "
-                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-                 "\"wall_seconds\": %.3f, \"peak_live\": %llu, "
-                 "\"failed\": %llu, \"drained\": %s}%s\n",
-                 static_cast<unsigned long long>(st.sessions),
-                 static_cast<unsigned long long>(st.completed), st.ops_per_sec,
-                 st.sessions_per_wall_sec, st.p50_ms, st.p99_ms,
-                 st.wall_seconds,
-                 static_cast<unsigned long long>(st.peak_live),
-                 static_cast<unsigned long long>(st.failed),
-                 st.drained ? "true" : "false",
-                 i + 1 < stats.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "    ],\n"
-               "    \"flash_crowd\": {\"sessions\": %llu, "
-               "\"constant_p99_ms\": %.3f, \"flash_p99_ms\": %.3f, "
-               "\"p99_degradation\": %.3f},\n"
-               "    \"digest_deterministic\": %s\n"
-               "  }\n"
-               "}\n",
-               static_cast<unsigned long long>(flash_sessions), flat.p99_ms,
-               flash.p99_ms, degradation, deterministic ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
-  return deterministic ? 0 : 1;
+  const int rc = bench::WriteReport(
+      "BENCH_scale.json",
+      Json::Object().Set(
+          "scale",
+          Json::Object()
+              .Set("mix", bench::MixLabel(ScaleMix()))
+              .Set("ops_per_session", kOpsPerSession)
+              .Set("arrival", arrival)
+              .Set("tiers", std::move(tier_rows))
+              .Set("flash_crowd",
+                   Json::Object()
+                       .Set("sessions", flash_sessions)
+                       .Set("constant_p99_ms", Json::Num(flat.p99_ms, 3))
+                       .Set("flash_p99_ms", Json::Num(flash.p99_ms, 3))
+                       .Set("p99_degradation", Json::Num(degradation, 3)))
+              .Set("digest_deterministic", deterministic)));
+  return rc == 0 && deterministic ? 0 : 1;
 }

@@ -186,30 +186,20 @@ int main() {
   }
 
   const int rows = 7;
-  const char* out_path = std::getenv("MAMS_BENCH_OUT");
-  if (out_path == nullptr) out_path = "BENCH_mttr.json";
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"mttr\": {\n"
-               "    \"trials\": %d,\n"
-               "    \"mams_avg_s\": %.3f,\n"
-               "    \"backupnode_avg_s\": %.3f,\n"
-               "    \"avatar_avg_s\": %.3f,\n"
-               "    \"hadoop_ha_avg_s\": %.3f,\n"
-               "    \"mams_pct_of_backupnode\": %.2f,\n"
-               "    \"mams_pct_of_avatar\": %.2f,\n"
-               "    \"mams_pct_of_hadoop_ha\": %.2f\n"
-               "  }\n"
-               "}\n",
-               trials, sum[0] / rows, sum[1] / rows, sum[2] / rows,
-               sum[3] / rows, 100.0 * sum[0] / sum[1],
-               100.0 * sum[0] / sum[2], 100.0 * sum[0] / sum[3]);
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path);
-  return 0;
+  using bench::Json;
+  return bench::WriteReport(
+      "BENCH_mttr.json",
+      Json::Object().Set(
+          "mttr",
+          Json::Object()
+              .Set("trials", trials)
+              .Set("mams_avg_s", Json::Num(sum[0] / rows, 3))
+              .Set("backupnode_avg_s", Json::Num(sum[1] / rows, 3))
+              .Set("avatar_avg_s", Json::Num(sum[2] / rows, 3))
+              .Set("hadoop_ha_avg_s", Json::Num(sum[3] / rows, 3))
+              .Set("mams_pct_of_backupnode",
+                   Json::Num(100.0 * sum[0] / sum[1], 2))
+              .Set("mams_pct_of_avatar", Json::Num(100.0 * sum[0] / sum[2], 2))
+              .Set("mams_pct_of_hadoop_ha",
+                   Json::Num(100.0 * sum[0] / sum[3], 2))));
 }

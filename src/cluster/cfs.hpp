@@ -86,16 +86,18 @@ class CfsCluster {
       data_servers_.back()->SetMetadataNodes(all_mds_ids);
     }
 
+    // Clients route by the deployment's partition map (adopting newer
+    // epochs from shard bounces). Without one, a map with one slot per
+    // group routes exactly like HashPartitioner: slot Fnv1a(dir) % groups
+    // is owned by group Fnv1a(dir) % groups.
+    const shard::PartitionMap client_map =
+        config_.mds.partition_map.empty()
+            ? shard::PartitionMap::Seed(config_.groups, config_.groups)
+            : config_.mds.partition_map;
     for (int c = 0; c < config_.clients; ++c) {
       clients_.push_back(std::make_unique<FsClient>(
           network, "client" + std::to_string(c), coord_.frontend_id(),
-          partitioner_, config_.client));
-      // Shard subsystem opt-in: when the deployment carries a seed
-      // partition map, clients route by it (and adopt newer epochs from
-      // shard bounces) instead of the static hash partitioner.
-      if (!config_.mds.partition_map.empty()) {
-        clients_.back()->SetPartitionMap(config_.mds.partition_map);
-      }
+          client_map, config_.client));
     }
 
     InstallProbes();

@@ -1,6 +1,6 @@
 // FsClient — the file-system client library.
 //
-// Routing: the hash partitioner maps each path to its owner group; the
+// Routing: the partition map sends each path to its owner group; the
 // client caches each group's active server (and standby list) and talks to
 // them directly. Failover handling reproduces the paper's "client
 // reconnection" stage (Figure 7): on an RPC timeout or a "not active"
@@ -49,7 +49,6 @@
 
 #include "coord/client.hpp"
 #include "core/messages.hpp"
-#include "fsns/partition.hpp"
 #include "fsns/path.hpp"
 #include "net/host.hpp"
 #include "net/rpc.hpp"
@@ -128,9 +127,9 @@ class FsClient : public net::Host {
   using Observer = std::function<void(const OpOutcome&)>;
 
   FsClient(net::Network& network, std::string name, NodeId coord,
-           fsns::HashPartitioner partitioner, FsClientOptions options = {})
+           shard::PartitionMap map, FsClientOptions options = {})
       : net::Host(network, std::move(name)),
-        partitioner_(partitioner),
+        map_(std::move(map)),
         options_(options),
         rng_(network.sim().rng().Fork(Fnv1a(this->name()) | 2)) {
     coord_client_ = std::make_unique<coord::CoordClient>(*this, coord);
@@ -145,15 +144,11 @@ class FsClient : public net::Host {
   }
 
   void set_observer(Observer observer) { observer_ = std::move(observer); }
-  const fsns::HashPartitioner& partitioner() const noexcept {
-    return partitioner_;
-  }
 
-  /// Installs the versioned partition map as routing truth (the legacy hash
-  /// partitioner only backstops an empty map). Servers bounce requests
-  /// routed by a stale epoch and attach their newer map; the client adopts
-  /// it and re-routes — no coordination-service round trip on the fast path.
-  void SetPartitionMap(shard::PartitionMap map) { map_ = std::move(map); }
+  /// The versioned partition map, the client's routing truth. Servers
+  /// bounce requests routed by a stale epoch and attach their newer map;
+  /// the client adopts it and re-routes — no coordination-service round
+  /// trip on the fast path.
   const shard::PartitionMap& partition_map() const noexcept { return map_; }
 
   /// Session metadata of the last completed op; see OpStamp.
@@ -174,13 +169,13 @@ class FsClient : public net::Host {
 
   void Mkdir(const std::string& path, OpCallback done) {
     auto req = NewRequest(core::ClientOp::kMkdir, path);
-    req->participant_group = OwnerGroupDir(path);
+    req->participant_group = map_.OwnerOfDir(path);
     Issue<Ack>(std::move(req), Acked(std::move(done)));
   }
 
   void Delete(const std::string& path, OpCallback done) {
     auto req = NewRequest(core::ClientOp::kDelete, path);
-    req->participant_group = OwnerGroupDir(path);
+    req->participant_group = map_.OwnerOfDir(path);
     Issue<Ack>(std::move(req), Acked(std::move(done)));
   }
 
@@ -188,7 +183,7 @@ class FsClient : public net::Host {
               OpCallback done) {
     auto req = NewRequest(core::ClientOp::kRename, src);
     req->path2 = dst;
-    req->participant_group = OwnerGroup(dst);
+    req->participant_group = map_.OwnerOf(dst);
     Issue<Ack>(std::move(req), Acked(std::move(done)));
   }
 
@@ -337,7 +332,7 @@ class FsClient : public net::Host {
   void Issue(std::shared_ptr<core::ClientRequestMsg> req,
              std::function<void(Result<T>)> done, ReadOptions ro = {}) {
     auto state = std::make_shared<OpState>();
-    state->group = OwnerGroup(req->path);
+    state->group = map_.OwnerOf(req->path);
     state->request = std::move(req);
     state->require_active = ro.require_active;
     if (!core::IsMutation(state->request->op)) {
@@ -489,7 +484,7 @@ class FsClient : public net::Host {
         newer = true;
       }
     }
-    const GroupId group = OwnerGroup(state->request->path);
+    const GroupId group = map_.OwnerOf(state->request->path);
     if (group != state->group) {
       state->group = group;
       if (!core::IsMutation(state->request->op)) {
@@ -703,7 +698,7 @@ class FsClient : public net::Host {
       // Children of `dir` route by its container slot, so the group that
       // granted the lease (and executes conflicting mutations) is the
       // dir-slot owner for stats and listings alike.
-      if (OwnerGroupDir(it->first) != it->second.group) {
+      if (map_.OwnerOfDir(it->first) != it->second.group) {
         ++counters_.cache_revocations;
         m_cache_revocations_->Add();
         it = cache_.erase(it);
@@ -711,13 +706,6 @@ class FsClient : public net::Host {
         ++it;
       }
     }
-  }
-
-  GroupId OwnerGroup(const std::string& path) const {
-    return map_.empty() ? partitioner_.OwnerOf(path) : map_.OwnerOf(path);
-  }
-  GroupId OwnerGroupDir(const std::string& path) const {
-    return map_.empty() ? partitioner_.OwnerOfDir(path) : map_.OwnerOfDir(path);
   }
 
   /// Polls the coordination service until the group exposes an active,
@@ -818,10 +806,8 @@ class FsClient : public net::Host {
     }
   }
 
-  fsns::HashPartitioner partitioner_;
-  /// Versioned routing truth when non-empty; updated from shard bounces.
-  /// Survives crashes (it is config-like: any staleness is corrected by
-  /// the next bounce).
+  /// Routing truth; updated from shard bounces. Survives crashes (it is
+  /// config-like: any staleness is corrected by the next bounce).
   shard::PartitionMap map_;
   FsClientOptions options_;
   Rng rng_;

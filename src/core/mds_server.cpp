@@ -1844,6 +1844,13 @@ void MdsServer::ApplyFetchedBatches(
   ApplyReadyBatches();
 }
 
+namespace {
+/// Apply-side parallelism assumed by the replay cost model: journal replay
+/// (renewing, recovery) charges CriticalSlots(kApplyThreads) slots per
+/// batch instead of one per record. Live standby apply is not CPU-charged.
+constexpr int kApplyThreads = 4;
+}  // namespace
+
 std::size_t MdsServer::ApplyBatch(
     const std::shared_ptr<const journal::Batch>& batch) {
   // Parallel apply: plan the batch into conflict-free waves from each
@@ -1878,7 +1885,7 @@ std::size_t MdsServer::ApplyBatch(
   if (recent_batches_.size() > kRecentBatchCap) recent_batches_.pop_front();
   // Reads parked on this sn (or earlier) can be answered now.
   DrainParkedReads();
-  return plan.CriticalSlots(options_.apply_threads);
+  return plan.CriticalSlots(kApplyThreads);
 }
 
 void MdsServer::RequestBackfill(NodeId from) {
@@ -2136,10 +2143,10 @@ void MdsServer::RenewFetchJournal() {
           applied_bytes += rec.bytes.size();
         }
         // Replay CPU cost: the serial byte-rate model scaled by the
-        // dependency plans' critical path — with `apply_threads` workers a
-        // batch replays in CriticalSlots/records of the serial time
-        // (apply_threads=1 makes the ratio 1.0 and reproduces the old
-        // model exactly). This is where parallel apply shortens MTTR.
+        // dependency plans' critical path — with kApplyThreads workers a
+        // batch replays in CriticalSlots/records of the serial time (one
+        // thread would make the ratio 1.0, the serial model). This is where
+        // parallel apply shortens MTTR.
         const double parallel_scale =
             applied_records > 0 ? static_cast<double>(applied_slots) /
                                       static_cast<double>(applied_records)

@@ -308,7 +308,7 @@ class MdsServer : public net::Host {
   void RequestBackfill(NodeId from);
   /// Applies a replicated batch through its dependency plan (see
   /// journal/apply_plan.hpp); returns the plan's critical-path slot count
-  /// under options_.apply_threads, which the renew replay cost model uses.
+  /// under kApplyThreads, which the renew replay cost model uses.
   std::size_t ApplyBatch(const std::shared_ptr<const journal::Batch>& batch);
 
   // --- election + failover protocol (Section III.C) -------------------------

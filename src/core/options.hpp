@@ -122,12 +122,6 @@ struct MdsOptions {
   /// view change/fence.
   std::size_t commit_pipeline_depth = 4;
 
-  /// Apply-side parallelism assumed by the replay cost model: journal
-  /// replay (renewing, recovery) charges CriticalSlots(apply_threads)
-  /// slots per batch instead of one per record. 1 models serial apply.
-  /// Live standby apply is not CPU-charged either way (unchanged).
-  int apply_threads = 4;
-
   /// When true (MAMS as specified) a batch completes only after the SSP
   /// copy is durable; false writes the SSP copy asynchronously (the
   /// ablation_ssp_vs_direct variant).

@@ -15,7 +15,7 @@
 // bit-identical to the legacy fsns::HashPartitioner whenever `groups`
 // divides `slot_count` — the default 64-slot space keeps every power-of-
 // two group count compatible with histories produced before the map
-// existed.
+// existed. Seed(groups, groups) matches it for every group count.
 #pragma once
 
 #include <cstdint>

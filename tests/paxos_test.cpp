@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "net/network.hpp"
@@ -59,6 +60,14 @@ TEST(AcceptorTest, NackCarriesPromisedBallot) {
 
 // --- ProposerState ----------------------------------------------------------
 
+/// A promise granted for `b` that reports no previously accepted value.
+Promise Granted(Ballot b) {
+  return {.granted = true,
+          .promised = b,
+          .accepted_ballot = {},
+          .accepted_value = std::nullopt};
+}
+
 TEST(ProposerTest, QuorumSizes) {
   EXPECT_EQ(ProposerState(0, 3).QuorumSize(), 2u);
   EXPECT_EQ(ProposerState(0, 5).QuorumSize(), 3u);
@@ -68,7 +77,7 @@ TEST(ProposerTest, QuorumSizes) {
 TEST(ProposerTest, Phase1QuorumFiresOnce) {
   ProposerState p(0, 3);
   const Ballot b = p.StartRound("mine", {});
-  Promise granted{.granted = true, .promised = b};
+  const Promise granted = Granted(b);
   EXPECT_FALSE(p.OnPromise(0, granted));
   EXPECT_TRUE(p.OnPromise(1, granted));   // quorum reached now
   EXPECT_FALSE(p.OnPromise(2, granted));  // already past quorum
@@ -79,12 +88,14 @@ TEST(ProposerTest, Phase1QuorumFiresOnce) {
 TEST(ProposerTest, AdoptsHighestAcceptedValue) {
   ProposerState p(0, 3);
   const Ballot b = p.StartRound("mine", {});
-  Promise p1{.granted = true, .promised = b};
-  p1.accepted_ballot = {1, 1};
-  p1.accepted_value = "old-low";
-  Promise p2{.granted = true, .promised = b};
-  p2.accepted_ballot = {2, 2};
-  p2.accepted_value = "old-high";
+  const Promise p1{.granted = true,
+                   .promised = b,
+                   .accepted_ballot = {1, 1},
+                   .accepted_value = "old-low"};
+  const Promise p2{.granted = true,
+                   .promised = b,
+                   .accepted_ballot = {2, 2},
+                   .accepted_value = "old-high"};
   (void)p.OnPromise(0, p1);
   (void)p.OnPromise(1, p2);
   EXPECT_EQ(p.ChooseValue(), "old-high");
@@ -96,7 +107,7 @@ TEST(ProposerTest, StalePromisesIgnored) {
   const Ballot b1 = p.StartRound("v", {});
   const Ballot b2 = p.StartRound("v", {});  // new round
   EXPECT_GT(b2, b1);
-  Promise stale{.granted = true, .promised = b1};
+  const Promise stale = Granted(b1);
   EXPECT_FALSE(p.OnPromise(0, stale));
   EXPECT_FALSE(p.OnPromise(1, stale));  // never reaches quorum
 }
@@ -104,7 +115,7 @@ TEST(ProposerTest, StalePromisesIgnored) {
 TEST(ProposerTest, Phase2CountsVotes) {
   ProposerState p(0, 5);
   const Ballot b = p.StartRound("v", {});
-  Promise ok{.granted = true, .promised = b};
+  const Promise ok = Granted(b);
   (void)p.OnPromise(0, ok);
   (void)p.OnPromise(1, ok);
   (void)p.OnPromise(2, ok);

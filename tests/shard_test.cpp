@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cfs.hpp"
@@ -34,18 +35,29 @@ TEST(PartitionMapTest, SeedCoversSpaceExactlyOnce) {
 }
 
 TEST(PartitionMapTest, SeedMatchesHashPartitioner) {
-  // With the default 64-slot space and a group count dividing 64, routing
-  // through the map is bit-identical to the legacy direct hash.
+  // Routing through the map is bit-identical to the legacy direct hash
+  // with the default 64-slot space when the group count divides 64, and
+  // with one slot per group (the map CfsCluster gives clients when the
+  // deployment has none) for every group count.
+  std::vector<std::pair<GroupId, std::uint32_t>> seeds;
   for (GroupId groups : {1u, 2u, 4u, 8u}) {
-    PartitionMap map = PartitionMap::Seed(groups);
+    seeds.emplace_back(groups, PartitionMap::kDefaultSlots);
+  }
+  for (GroupId groups = 1; groups <= 7; ++groups) {
+    seeds.emplace_back(groups, groups);
+  }
+  for (const auto& [groups, slots] : seeds) {
+    PartitionMap map = PartitionMap::Seed(groups, slots);
     fsns::HashPartitioner legacy(groups);
     const std::vector<std::string> paths = {
         "/",     "/a",         "/a/b",     "/a/b/c.txt", "/dir/file",
         "/x/y0", "/deep/p/q/r", "/bench/d3/f17",         "/fuzz/c1/d2/f0",
     };
     for (const auto& p : paths) {
-      EXPECT_EQ(map.OwnerOf(p), legacy.OwnerOf(p)) << p;
-      EXPECT_EQ(map.OwnerOfDir(p), legacy.OwnerOfDir(p)) << p;
+      EXPECT_EQ(map.OwnerOf(p), legacy.OwnerOf(p))
+          << p << " groups=" << groups << " slots=" << slots;
+      EXPECT_EQ(map.OwnerOfDir(p), legacy.OwnerOfDir(p))
+          << p << " groups=" << groups << " slots=" << slots;
     }
   }
 }

@@ -45,7 +45,7 @@ TEST(SharedFileTest, AppendTracksMaxSnAndBytes) {
 
 TEST(SharedFileTest, FirstIndexAfterBinarySearch) {
   SharedFile f;
-  for (SerialNumber sn : {2, 4, 6, 8}) f.Append({.sn = sn});
+  for (SerialNumber sn : {2, 4, 6, 8}) f.Append({.sn = sn, .bytes = {}});
   EXPECT_EQ(f.FirstIndexAfter(0), 0u);
   EXPECT_EQ(f.FirstIndexAfter(2), 1u);
   EXPECT_EQ(f.FirstIndexAfter(5), 2u);
@@ -203,8 +203,12 @@ TEST_F(SspTest, ListReportsMaxSnPerFile) {
   sim_.RunAll();
   ASSERT_EQ(entries.size(), 2u);
   for (const auto& e : entries) {
-    if (e.name == "g0/journal") EXPECT_EQ(e.max_sn, 7u);
-    if (e.name == "g0/image") EXPECT_EQ(e.max_sn, 3u);
+    if (e.name == "g0/journal") {
+      EXPECT_EQ(e.max_sn, 7u);
+    }
+    if (e.name == "g0/image") {
+      EXPECT_EQ(e.max_sn, 3u);
+    }
   }
 }
 
