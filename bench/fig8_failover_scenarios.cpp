@@ -9,13 +9,16 @@
 // Output: the per-second request rate timeline around the injections
 // (Figure 8) and the recorded sequence of group-view rows (Table II),
 // using the paper's notation (A = active, S = standby, J = junior,
-// - = down).
+// - = down). Every injection is a cluster::Fault applied through the
+// cluster's FaultExecutor, the same path the checker and the scenario
+// language use.
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "cluster/cfs.hpp"
+#include "cluster/fault.hpp"
 #include "net/network.hpp"
 #include "workload/load_engine.hpp"
 
@@ -23,12 +26,13 @@ namespace {
 
 using namespace mams;
 using workload::Mix;
+using Kind = cluster::Fault::Kind;
 
 struct Scenario {
   const char* name;
   const char* description;
-  // Injects faults; called once with everything wired.
-  std::function<void(sim::Simulator&, cluster::CfsCluster&)> schedule;
+  // Schedules the injections; called once with everything wired.
+  std::function<void(sim::Simulator&, cluster::FaultExecutor&)> schedule;
 };
 
 struct ScenarioResult {
@@ -48,6 +52,7 @@ ScenarioResult RunScenario(const Scenario& scenario, std::uint64_t seed) {
   cfg.clients = 4;
   cfg.data_servers = 2;
   cluster::CfsCluster cfs(net, cfg);
+  cluster::FaultExecutor faults(cfs);
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
@@ -64,7 +69,7 @@ ScenarioResult RunScenario(const Scenario& scenario, std::uint64_t seed) {
     engines.back()->Start();
   }
 
-  scenario.schedule(sim, cfs);
+  scenario.schedule(sim, faults);
 
   // Sample the group view every 100 ms to record Table II's transitions.
   ScenarioResult result;
@@ -126,10 +131,10 @@ int main() {
       "The global view is modified so the current active loses the "
       "distributed lock; it must stop serving, a standby is elected, and "
       "the deposed server re-registers as a standby.",
-      [](sim::Simulator& sim, cluster::CfsCluster& cfs) {
+      [](sim::Simulator& sim, cluster::FaultExecutor& faults) {
         for (SimTime at : {60 * kSecond, 120 * kSecond, 180 * kSecond}) {
-          sim.After(at, [&cfs] {
-            cfs.coord().frontend().AdminForceReleaseLock(0);
+          sim.After(at, [&faults] {
+            (void)faults.Apply({.kind = Kind::kForceLockRelease});
           });
         }
       }};
@@ -141,24 +146,17 @@ int main() {
       "Two servers lose their network at once (multi-point failure); their "
       "sessions expire, a surviving standby takes over; when re-plugged the "
       "isolated servers re-register and are renewed to standbys.",
-      [](sim::Simulator& sim, cluster::CfsCluster& cfs) {
-        auto& net = cfs.network();
-        sim.After(60 * kSecond, [&net, &cfs] {
-          net.SetLinkUp(cfs.mds(0, 0).id(), false);
-          net.SetLinkUp(cfs.mds(0, 1).id(), false);
-        });
-        sim.After(100 * kSecond, [&net, &cfs] {
-          net.SetLinkUp(cfs.mds(0, 0).id(), true);
-          net.SetLinkUp(cfs.mds(0, 1).id(), true);
-        });
-        sim.After(150 * kSecond, [&net, &cfs] {
-          net.SetLinkUp(cfs.mds(0, 2).id(), false);
-          net.SetLinkUp(cfs.mds(0, 3).id(), false);
-        });
-        sim.After(190 * kSecond, [&net, &cfs] {
-          net.SetLinkUp(cfs.mds(0, 2).id(), true);
-          net.SetLinkUp(cfs.mds(0, 3).id(), true);
-        });
+      [](sim::Simulator& sim, cluster::FaultExecutor& faults) {
+        auto wires = [&sim, &faults](SimTime at, Kind kind, int a, int b) {
+          sim.After(at, [&faults, kind, a, b] {
+            (void)faults.Apply({.kind = kind, .member = a});
+            (void)faults.Apply({.kind = kind, .member = b});
+          });
+        };
+        wires(60 * kSecond, Kind::kUnplug, 0, 1);
+        wires(100 * kSecond, Kind::kReplug, 0, 1);
+        wires(150 * kSecond, Kind::kUnplug, 2, 3);
+        wires(190 * kSecond, Kind::kReplug, 2, 3);
       }};
 
   // Test C: kill processes and restart them later.
@@ -167,19 +165,13 @@ int main() {
       "The active process is killed at 60 s and restarted at 75 s (rejoins "
       "as junior, renewed to standby); the new active is killed at 140 s "
       "and restarted at 155 s.",
-      [](sim::Simulator& sim, cluster::CfsCluster& cfs) {
-        sim.After(60 * kSecond, [&cfs] {
-          if (auto* a = cfs.FindActive(0)) {
-            a->Crash();
-            a->Restart(15 * kSecond);
-          }
-        });
-        sim.After(140 * kSecond, [&cfs] {
-          if (auto* a = cfs.FindActive(0)) {
-            a->Crash();
-            a->Restart(15 * kSecond);
-          }
-        });
+      [](sim::Simulator& sim, cluster::FaultExecutor& faults) {
+        for (SimTime at : {60 * kSecond, 140 * kSecond}) {
+          sim.After(at, [&faults] {
+            (void)faults.Apply(
+                {.kind = Kind::kCrashActive, .duration = 15 * kSecond});
+          });
+        }
       }};
 
   for (const auto& s : {test_a, test_b, test_c}) {

@@ -1,23 +1,26 @@
 // A guided tour of the three failure scenarios from the paper's Section
 // IV.C (Table II): lock loss, network partition of multiple servers, and
 // process restart — printing every group-view transition as it happens.
+// Each injection is a cluster::Fault applied through the FaultExecutor.
 // Exits non-zero if any invariant probe fires during a scenario.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "cluster/cfs.hpp"
+#include "cluster/fault.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 
 using namespace mams;
+using Kind = cluster::Fault::Kind;
 
 namespace {
 
 /// Runs `inject` against a fresh 1A3S cluster and prints view changes.
 void RunScenario(const char* title,
                  const std::function<void(sim::Simulator&,
-                                          cluster::CfsCluster&)>& inject) {
+                                          cluster::FaultExecutor&)>& inject) {
   std::printf("\n=== %s ===\n", title);
   sim::Simulator sim(7);
   net::Network network(sim);
@@ -27,10 +30,11 @@ void RunScenario(const char* title,
   config.clients = 1;
   config.data_servers = 1;
   cluster::CfsCluster cfs(network, config);
+  cluster::FaultExecutor faults(cfs);
   cfs.Start();
   sim.RunUntil(sim.Now() + kSecond);
 
-  inject(sim, cfs);
+  inject(sim, faults);
 
   std::string last;
   const SimTime t0 = sim.Now();
@@ -68,34 +72,34 @@ int main() {
   std::printf("Server states: A=active  S=standby  J=junior  -=down\n");
 
   RunScenario("Test A: the active loses the distributed lock",
-              [](sim::Simulator& sim, cluster::CfsCluster& cfs) {
-                sim.After(2 * kSecond, [&cfs] {
+              [](sim::Simulator& sim, cluster::FaultExecutor& faults) {
+                sim.After(2 * kSecond, [&faults] {
                   std::printf("  >> forcing lock release (global view edit)\n");
-                  cfs.coord().frontend().AdminForceReleaseLock(0);
+                  (void)faults.Apply({.kind = Kind::kForceLockRelease});
                 });
               });
 
   RunScenario("Test B: two servers lose their network, then re-plug",
-              [](sim::Simulator& sim, cluster::CfsCluster& cfs) {
-                sim.After(2 * kSecond, [&sim, &cfs] {
+              [](sim::Simulator& sim, cluster::FaultExecutor& faults) {
+                sim.After(2 * kSecond, [&sim, &faults] {
                   std::printf("  >> unplugging active + one standby\n");
-                  cfs.network().SetLinkUp(cfs.mds(0, 0).id(), false);
-                  cfs.network().SetLinkUp(cfs.mds(0, 1).id(), false);
-                  sim.After(20 * kSecond, [&cfs] {
+                  (void)faults.Apply({.kind = Kind::kUnplug, .member = 0});
+                  (void)faults.Apply({.kind = Kind::kUnplug, .member = 1});
+                  sim.After(20 * kSecond, [&faults] {
                     std::printf("  >> plugging both back\n");
-                    cfs.network().SetLinkUp(cfs.mds(0, 0).id(), true);
-                    cfs.network().SetLinkUp(cfs.mds(0, 1).id(), true);
+                    (void)faults.Apply({.kind = Kind::kReplug, .member = 0});
+                    (void)faults.Apply({.kind = Kind::kReplug, .member = 1});
                   });
                 });
               });
 
   RunScenario("Test C: kill the active process, restart it later",
-              [](sim::Simulator& sim, cluster::CfsCluster& cfs) {
-                sim.After(2 * kSecond, [&cfs] {
+              [](sim::Simulator& sim, cluster::FaultExecutor& faults) {
+                sim.After(2 * kSecond, [&faults] {
                   std::printf("  >> kill -9 the active\n");
-                  auto* active = cfs.FindActive(0);
-                  active->Crash();
-                  active->Restart(15 * kSecond);  // ops restarts it later
+                  // ops restarts it 15 s later
+                  (void)faults.Apply(
+                      {.kind = Kind::kCrashActive, .duration = 15 * kSecond});
                 });
               });
   return 0;

@@ -1,8 +1,6 @@
 #include "check/fuzzer.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <set>
 
@@ -10,7 +8,6 @@
 #include "cluster/cfs.hpp"
 #include "common/rng.hpp"
 #include "fsns/path.hpp"
-#include "net/fault.hpp"
 #include "net/network.hpp"
 #include "shard/partition_map.hpp"
 #include "sim/simulator.hpp"
@@ -69,37 +66,6 @@ bool ParseMutation(const std::string& name, Mutation* out) {
                            Mutation::kIgnoreLeaseRevoke}) {
     if (name == MutationName(m)) {
       *out = m;
-      return true;
-    }
-  }
-  return false;
-}
-
-const char* FaultKindName(FaultAction::Kind kind) {
-  switch (kind) {
-    case FaultAction::Kind::kCutMember:
-      return "cut";
-    case FaultAction::Kind::kCrashMember:
-      return "crash";
-    case FaultAction::Kind::kCrashActive:
-      return "crash_active";
-    case FaultAction::Kind::kCrashPool:
-      return "crash_pool";
-    case FaultAction::Kind::kJitterBurst:
-      return "jitter";
-    case FaultAction::Kind::kMigrateSlot:
-      return "migrate";
-  }
-  return "?";
-}
-
-bool ParseFaultKind(const std::string& name, FaultAction::Kind* out) {
-  for (const FaultAction::Kind k :
-       {FaultAction::Kind::kCutMember, FaultAction::Kind::kCrashMember,
-        FaultAction::Kind::kCrashActive, FaultAction::Kind::kCrashPool,
-        FaultAction::Kind::kJitterBurst, FaultAction::Kind::kMigrateSlot}) {
-    if (name == FaultKindName(k)) {
-      *out = k;
       return true;
     }
   }
@@ -189,41 +155,48 @@ RunSpec MakeSpec(std::uint64_t seed, const FuzzProfile& profile) {
   // Fault schedule, front-loaded into the op phase so the quiesce window
   // sees only recovery. All faults self-heal well before the audit.
   const SimTime window = spec.run_for - spec.run_for / 5;
+  const int members = 1 + spec.standbys;
+  // Member faults draw one index over every group's replicas, group-major.
+  // With one group the range (and the rng consumption) is unchanged.
+  auto pick_member = [&](cluster::Fault& a) {
+    const int t = static_cast<int>(
+        rng.Below(static_cast<std::uint64_t>(members * spec.groups)));
+    a.group = t / members;
+    a.member = t % members;
+  };
+  using Kind = cluster::Fault::Kind;
   for (int f = 0; f < profile.faults; ++f) {
-    FaultAction a;
+    cluster::Fault a;
     a.at = spec.warmup +
            static_cast<SimTime>(rng.Below(static_cast<std::uint64_t>(window)));
-    // Member-fault targets span every group's replicas: the dispatch in
-    // RunSpecOnce decodes group = (target / members) % groups. With one
-    // group the range (and the rng consumption) is unchanged.
-    const std::uint64_t member_targets = static_cast<std::uint64_t>(
-        (1 + spec.standbys) * spec.groups);
     const double roll = rng.Uniform();
     if (roll < 0.35) {
-      a.kind = FaultAction::Kind::kCutMember;
-      a.target = static_cast<int>(rng.Below(member_targets));
+      a.kind = Kind::kUnplug;
+      pick_member(a);
       a.duration =
           static_cast<SimTime>(
               2000 + rng.Below(static_cast<std::uint64_t>(std::max<SimTime>(
                          1, profile.max_outage / kMillisecond - 2000)))) *
           kMillisecond;
     } else if (roll < 0.55) {
-      a.kind = FaultAction::Kind::kCrashMember;
-      a.target = static_cast<int>(rng.Below(member_targets));
+      a.kind = Kind::kCrash;
+      pick_member(a);
       a.duration = static_cast<SimTime>(1000 + rng.Below(7000)) * kMillisecond;
     } else if (roll < 0.75) {
-      a.kind = FaultAction::Kind::kCrashActive;
+      a.kind = Kind::kCrashActive;
       if (spec.groups > 1) {
-        a.target = static_cast<int>(
+        a.group = static_cast<int>(
             rng.Below(static_cast<std::uint64_t>(spec.groups)));
       }
       a.duration = static_cast<SimTime>(1000 + rng.Below(7000)) * kMillisecond;
     } else if (roll < 0.90) {
-      a.kind = FaultAction::Kind::kCrashPool;
-      a.target = static_cast<int>(rng.Below(1 + spec.standbys));
+      // The pool nodes co-hosted with group 0's members.
+      a.kind = Kind::kCrashPool;
+      a.member =
+          static_cast<int>(rng.Below(static_cast<std::uint64_t>(members)));
       a.duration = static_cast<SimTime>(2000 + rng.Below(8000)) * kMillisecond;
     } else {
-      a.kind = FaultAction::Kind::kJitterBurst;
+      a.kind = Kind::kJitter;
       a.param = static_cast<SimTime>(500 + rng.Below(19500)) * kMicrosecond;
       a.duration = static_cast<SimTime>(2000 + rng.Below(6000)) * kMillisecond;
     }
@@ -234,24 +207,24 @@ RunSpec MakeSpec(std::uint64_t seed, const FuzzProfile& profile) {
   // touches (migrating live data under traffic), half a uniform slot.
   if (spec.groups > 1) {
     for (int m = 0; m < profile.migrations; ++m) {
-      FaultAction a;
-      a.kind = FaultAction::Kind::kMigrateSlot;
+      cluster::Fault a;
+      a.kind = Kind::kMigrate;
       a.at = spec.warmup +
              static_cast<SimTime>(rng.Below(static_cast<std::uint64_t>(window)));
       if (!spec.ops.empty() && rng.Uniform() < 0.5) {
         const workload::Op& pick =
             spec.ops[static_cast<std::size_t>(rng.Below(spec.ops.size()))].op;
-        a.target = static_cast<int>(
+        a.member = static_cast<int>(
             fsns::PathSlot(pick.path, shard::PartitionMap::kDefaultSlots));
       } else {
-        a.target =
+        a.member =
             static_cast<int>(rng.Below(shard::PartitionMap::kDefaultSlots));
       }
       spec.faults.push_back(a);
     }
   }
   std::sort(spec.faults.begin(), spec.faults.end(),
-            [](const FaultAction& x, const FaultAction& y) {
+            [](const cluster::Fault& x, const cluster::Fault& y) {
               return x.at < y.at;
             });
   return spec;
@@ -289,7 +262,6 @@ struct ClientScript : std::enable_shared_from_this<ClientScript> {
 RunResult RunSpecOnce(const RunSpec& spec) {
   sim::Simulator sim(spec.seed);
   net::Network net(sim);
-  net::FaultInjector inject(net);
 
   cluster::CfsConfig cfg;
   const int groups = std::max(1, spec.groups);
@@ -351,6 +323,7 @@ RunResult RunSpecOnce(const RunSpec& spec) {
   cfg.client.max_attempts = 40;
 
   cluster::CfsCluster cfs(net, cfg);
+  cluster::FaultExecutor faults(cfs);
   cfs.Start();
 
   // Elastic sweeps run an aggressive controller so membership itself is a
@@ -391,62 +364,23 @@ RunResult RunSpecOnce(const RunSpec& spec) {
     sim.At(spec.warmup, [script] { script->Step(); });
   }
 
-  // Fault schedule.
-  const int members = 1 + spec.standbys;
-  for (const FaultAction& f : spec.faults) {
-    sim.At(f.at, [&cfs, &inject, f, members, groups] {
-      const GroupId fg = static_cast<GroupId>((f.target / members) % groups);
-      switch (f.kind) {
-        case FaultAction::Kind::kCutMember:
-          inject.CutLinkFor(cfs.mds(fg, f.target % members).id(), f.duration);
-          break;
-        case FaultAction::Kind::kCrashMember:
-          net::FaultInjector::CrashFor(cfs.mds(fg, f.target % members),
-                                       f.duration);
-          break;
-        case FaultAction::Kind::kCrashActive:
-          if (core::MdsServer* active =
-                  cfs.FindActive(static_cast<GroupId>(f.target % groups))) {
-            net::FaultInjector::CrashFor(*active, f.duration);
-          }
-          break;
-        case FaultAction::Kind::kCrashPool:
-          net::FaultInjector::CrashFor(cfs.pool_node(f.target % members),
-                                       f.duration);
-          break;
-        case FaultAction::Kind::kJitterBurst:
-          inject.JitterBurst(f.param, f.duration);
-          break;
-        case FaultAction::Kind::kMigrateSlot:
-          // Best effort: the owning active may be down or mid-failover
-          // right now — a refused kick is part of the schedule, not an
-          // error (the checker only judges what clients observed).
-          (void)cfs.StartShardMigration(static_cast<std::uint32_t>(
-              f.target % static_cast<int>(shard::PartitionMap::kDefaultSlots)));
-          break;
-      }
-    });
+  // Fault schedule. Best effort: a crash-active finding no active, or a
+  // migration the owning active refuses mid-failover, is part of the
+  // schedule, not an error (the checker only judges what clients
+  // observed). MakeSpec draws addresses inside the cluster and ParseSpec
+  // rejects any outside it.
+  for (const cluster::Fault& f : spec.faults) {
+    sim.At(f.at, [&faults, f] { (void)faults.Apply(f); });
   }
 
   // Heal everything after the op/fault phase and force any still-dead
   // process back up, so the audit runs against a fully recovered cluster.
   const SimTime heal_at = spec.warmup + spec.run_for;
-  sim.At(heal_at, [&cfs, &inject, members, groups,
-                   as = autoscaler.get()] {
+  sim.At(heal_at, [&faults, as = autoscaler.get()] {
     // Freeze elasticity first: the audit must run against a stable fleet,
     // not race a scale decision.
     if (as != nullptr) as->Stop();
-    inject.HealEverything();
-    // Members(g) covers elastic additions and retirees too, not just the
-    // configured membership.
-    for (int g = 0; g < groups; ++g) {
-      for (const auto& mi : cfs.Members(static_cast<GroupId>(g))) {
-        if (!mi.server->alive()) mi.server->Restart(0);
-      }
-    }
-    for (int m = 0; m < members; ++m) {
-      if (!cfs.pool_node(m).alive()) cfs.pool_node(m).Restart(0);
-    }
+    faults.HealAll();
   });
 
   // Audit reads: after the quiesce window, stat every path the workload
@@ -488,29 +422,6 @@ RunResult RunSpecOnce(const RunSpec& spec) {
   result.virtual_end = sim.Now();
   result.run_digest = sim.run_digest();
 
-  // Debug aid: MAMS_FUZZ_DEBUG=1 dumps per-replica apply/pipeline counters
-  // after the run — the quick way to see whether a profile actually
-  // produced multi-record batches (apply_records >> batches_applied).
-  if (std::getenv("MAMS_FUZZ_DEBUG") != nullptr) {
-    for (int g = 0; g < groups; ++g) {
-      for (int m = 0; m < 1 + spec.standbys; ++m) {
-        const auto& c = cfs.mds(static_cast<GroupId>(g), m).counters();
-        core::MdsServer& mds = cfs.mds(static_cast<GroupId>(g), m);
-        std::fprintf(stderr,
-                     "dbg %s role=%d applied=%llu apply_records=%llu "
-                     "waves=%llu serial_fb=%llu deferred=%llu synced=%llu "
-                     "fp=%016llx\n",
-                     mds.name().c_str(), static_cast<int>(mds.role()),
-                     (unsigned long long)c.batches_applied,
-                     (unsigned long long)c.apply_records,
-                     (unsigned long long)c.apply_waves,
-                     (unsigned long long)c.apply_serial_fallbacks,
-                     (unsigned long long)c.pipeline_deferred,
-                     (unsigned long long)c.batches_synced,
-                     (unsigned long long)mds.tree().Fingerprint());
-      }
-    }
-  }
   // Replica-divergence audit: at quiescence every standby must hold its
   // group active's exact namespace (same criterion the chaos tests use).
   for (int g = 0; g < groups; ++g) {

@@ -9,11 +9,13 @@
 // shrunk spec replays bit-for-bit — the property the .repro files and the
 // shrinker rely on.
 //
-// Fault palette (all self-healing, symmetric):
-//   * link flap of an MDS replica (cut + timed restore)
+// Fault palette (all self-healing, symmetric), as cluster::Fault values
+// applied through cluster::FaultExecutor:
+//   * link flap of an MDS replica (unplug for a duration)
 //   * crash/restart of an MDS replica or the current active
 //   * storage-pool node loss (crash + restart)
 //   * delivery-jitter burst (clock-independent queueing noise)
+//   * shard migration of a slot (multi-group profiles)
 #pragma once
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 
 #include "check/checker.hpp"
 #include "check/history.hpp"
+#include "cluster/fault.hpp"
 #include "common/types.hpp"
 #include "workload/opstream.hpp"
 
@@ -60,28 +63,6 @@ enum class Mutation : std::uint8_t {
 const char* MutationName(Mutation m);
 bool ParseMutation(const std::string& name, Mutation* out);
 
-struct FaultAction {
-  enum class Kind : std::uint8_t {
-    kCutMember,    ///< link flap of MDS replica `target`
-    kCrashMember,  ///< crash/restart of MDS replica `target`
-    kCrashActive,  ///< crash/restart of whoever is active when it fires
-    kCrashPool,    ///< storage-pool node `target` loss
-    kJitterBurst,  ///< extra delivery jitter `param` for `duration`
-    kMigrateSlot,  ///< kick off a shard migration of slot `target`
-  };
-  Kind kind = Kind::kCutMember;
-  SimTime at = 0;        ///< absolute virtual time
-  /// Member / pool-node / slot index (kind-dependent). With multiple
-  /// groups, member faults decode as group = (target / members) % groups,
-  /// member = target % members; kCrashActive decodes target % groups.
-  int target = 0;
-  SimTime duration = 0;  ///< outage length / restart delay / burst length
-  SimTime param = 0;     ///< jitter amount (kJitterBurst)
-};
-
-const char* FaultKindName(FaultAction::Kind kind);
-bool ParseFaultKind(const std::string& name, FaultAction::Kind* out);
-
 struct OpEntry {
   int client = 0;
   SimTime think = 0;  ///< delay after the client's previous completion
@@ -93,10 +74,9 @@ struct RunSpec {
   int clients = 2;
   /// Replica groups. With more than one, the cluster boots with a seeded
   /// partition map (shard::PartitionMap::Seed) and clients route by slot;
-  /// kMigrateSlot faults then move live shards between groups mid-run.
+  /// migrate faults then move live shards between groups mid-run.
   int groups = 1;
   int standbys = 2;
-  int pool_nodes = 3;
   Mutation mutation = Mutation::kNone;
   /// Serve reads from standbys (session-consistent offload) and route the
   /// fuzz clients' reads round-robin over them. Audit reads always go to
@@ -125,7 +105,7 @@ struct RunSpec {
   /// a backlog that group commit aggregates into multi-record batches.
   int pipeline_depth = 0;
   std::vector<OpEntry> ops;
-  std::vector<FaultAction> faults;
+  std::vector<cluster::Fault> faults;  ///< each applied at its `at`
 };
 
 /// Generation profile: how MakeSpec shapes a spec for a given seed.
@@ -149,7 +129,7 @@ struct FuzzProfile {
   bool autoscale = false;
   /// Copied into RunSpec::groups by MakeSpec.
   int groups = 1;
-  /// Shard migrations to schedule as kMigrateSlot faults (in addition to
+  /// Shard migrations to schedule as migrate faults (in addition to
   /// `faults`); ignored when groups == 1. A deterministic count — rather
   /// than a roll in the fault palette — guarantees every seed actually
   /// exercises migrations.

@@ -1,9 +1,11 @@
 #include "check/repro.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
 #include "check/history.hpp"
+#include "shard/partition_map.hpp"
 
 namespace mams::check {
 
@@ -26,6 +28,42 @@ bool ParseOpKind(const std::string& name, OpKind* out) {
 Status Malformed(std::size_t line_no, const std::string& what) {
   return Status::InvalidArgument("repro line " + std::to_string(line_no) +
                                  ": " + what);
+}
+
+using Target = cluster::FaultKindInfo::Target;
+
+int PackTarget(const cluster::Fault& f, int members) {
+  switch (cluster::KindInfo(f.kind).target) {
+    case Target::kNone:
+      return 0;
+    case Target::kGroup:
+      return f.group;
+    case Target::kMember:
+      return f.group * members + f.member;
+    case Target::kSlot:
+      return f.member;
+  }
+  return 0;
+}
+
+/// Inverse of PackTarget; false when `target` addresses nothing in a
+/// cluster of `groups` groups of `members` members.
+bool UnpackTarget(int target, int groups, int members, cluster::Fault* f) {
+  switch (cluster::KindInfo(f->kind).target) {
+    case Target::kNone:
+      return target == 0;
+    case Target::kGroup:
+      f->group = target;
+      return target < groups;
+    case Target::kMember:
+      f->group = target / members;
+      f->member = target % members;
+      return f->group < groups;
+    case Target::kSlot:
+      f->member = target;
+      return target < static_cast<int>(shard::PartitionMap::kDefaultSlots);
+  }
+  return false;
 }
 
 }  // namespace
@@ -62,9 +100,10 @@ std::string SerializeSpec(const RunSpec& spec) {
     if (e.op.kind == OpKind::kRename) out << " " << e.op.path2;
     out << "\n";
   }
-  for (const FaultAction& f : spec.faults) {
-    out << "fault " << FaultKindName(f.kind) << " " << f.at << " " << f.target
-        << " " << f.duration << " " << f.param << "\n";
+  for (const cluster::Fault& f : spec.faults) {
+    out << "fault " << cluster::KindInfo(f.kind).repro << " " << f.at << " "
+        << PackTarget(f, 1 + spec.standbys) << " " << f.duration << " "
+        << f.param << "\n";
   }
   return out.str();
 }
@@ -77,8 +116,8 @@ Result<RunSpec> ParseSpec(const std::string& text) {
     return Status::InvalidArgument("not a mams-repro v1 file");
   }
   RunSpec spec;
-  spec.ops.clear();
-  spec.faults.clear();
+  // Fault targets unpack once the topology keys are known.
+  std::vector<std::pair<std::size_t, int>> fault_targets;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
@@ -99,15 +138,30 @@ Result<RunSpec> ParseSpec(const std::string& text) {
       }
       spec.ops.push_back(std::move(e));
     } else if (head == "fault") {
-      FaultAction f;
+      cluster::Fault f;
       std::string kind;
-      if (!(fields >> kind >> f.at >> f.target >> f.duration >> f.param)) {
+      int target = 0;
+      if (!(fields >> kind >> f.at >> target >> f.duration >> f.param)) {
         return Malformed(line_no, "bad fault line");
       }
-      if (!ParseFaultKind(kind, &f.kind)) {
+      const auto kinds = cluster::FaultKinds();
+      const auto info =
+          std::find_if(kinds.begin(), kinds.end(),
+                       [&](const auto& k) { return kind == k.repro; });
+      if (info == kinds.end()) {
         return Malformed(line_no, "unknown fault kind '" + kind + "'");
       }
+      f.kind = info->kind;
+      if (f.at < 0 || target < 0 || f.duration < 0 || f.param < 0) {
+        return Malformed(line_no, "negative fault field");
+      }
+      if ((!info->timed && f.duration != 0) ||
+          (info->param == cluster::FaultKindInfo::Param::kNone &&
+           f.param != 0)) {
+        return Malformed(line_no, "field unused by fault kind '" + kind + "'");
+      }
       spec.faults.push_back(f);
+      fault_targets.emplace_back(line_no, target);
     } else {
       const std::size_t eq = head.find('=');
       if (eq == std::string::npos) {
@@ -154,6 +208,15 @@ Result<RunSpec> ParseSpec(const std::string& text) {
   }
   if (spec.clients < 1) return Status::InvalidArgument("clients < 1");
   if (spec.groups < 1) return Status::InvalidArgument("groups < 1");
+  if (spec.standbys < 0) return Status::InvalidArgument("standbys < 0");
+  for (std::size_t i = 0; i < spec.faults.size(); ++i) {
+    const auto [fault_line, target] = fault_targets[i];
+    if (!UnpackTarget(target, spec.groups, 1 + spec.standbys,
+                      &spec.faults[i])) {
+      return Malformed(fault_line, "fault target " + std::to_string(target) +
+                                       " out of range");
+    }
+  }
   for (const OpEntry& e : spec.ops) {
     if (e.client < 0 || e.client >= spec.clients) {
       return Status::InvalidArgument("op client out of range");

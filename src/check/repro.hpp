@@ -11,7 +11,14 @@
 //   run_us=30000000
 //   quiesce_us=45000000
 //   op <client> <think_us> <kind> <path> [<path2>]
-//   fault <kind> <at_us> <target> <duration_us> <param_us>
+//   fault <kind> <at_us> <target> <duration_us> <param>
+//
+// A fault line is one cluster::Fault. <kind> is the kind's .repro name in
+// cluster::FaultKinds() (cut, crash, crash_active, crash_pool, jitter,
+// migrate, ...). <target> packs the address: group * (1 + standbys) +
+// member for member and pool-node kinds, the group for group kinds, the
+// slot for migrate, and 0 for jitter. <param> is the jitter in us, the
+// disk slowdown in thousandths, or the asymmetry direction.
 //
 // Everything a run consumes is in the file; replaying it reproduces the
 // identical event schedule (verified via Simulator::run_digest), which is

@@ -85,8 +85,8 @@ ShrinkResult Shrink(const RunSpec& failing, ShrinkOptions options) {
   // Faults first (each removed fault usually makes reruns faster), then
   // ops, repeated until neither list shrinks further.
   while (out.runs < options.max_runs) {
-    ListMinimizer<FaultAction> faults(out.spec, &RunSpec::faults, options,
-                                      out.runs, out.result);
+    ListMinimizer<cluster::Fault> faults(out.spec, &RunSpec::faults,
+                                         options, out.runs, out.result);
     const bool f = faults.Minimize();
     ListMinimizer<OpEntry> ops(out.spec, &RunSpec::ops, options, out.runs,
                                out.result);

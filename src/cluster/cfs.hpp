@@ -412,6 +412,8 @@ class CfsCluster {
     // No committed batch may be lost across a failover: once a batch has a
     // standby ack or a durable SSP copy, any *settled* new active (one the
     // view and its own role agree on) must have applied at least that far.
+    // A violation lists every member's state, so the run's output alone
+    // shows how the new active was chosen.
     probe_ids_.push_back(probes.Register(
         "committed_sn_not_lost", [this]() -> std::optional<std::string> {
           for (GroupId g = 0; g < static_cast<GroupId>(groups_.size()); ++g) {
@@ -419,17 +421,29 @@ class CfsCluster {
             for (const auto& mds : groups_[g]) {
               watermark = std::max(watermark, mds->committed_sn());
             }
-            const NodeId active_id = coord_.frontend().PeekView(g).FindActive();
+            const auto& view = coord_.frontend().PeekView(g);
+            const NodeId active_id = view.FindActive();
             if (active_id == kInvalidNode) continue;
             for (const auto& mds : groups_[g]) {
               if (mds->id() != active_id) continue;
               if (mds->alive() && mds->role() == ServerState::kActive &&
                   mds->last_sn() < watermark) {
-                return "group " + std::to_string(g) + " active node " +
-                       std::to_string(active_id) + " at sn " +
-                       std::to_string(mds->last_sn()) +
-                       " lost committed batches (watermark " +
-                       std::to_string(watermark) + ")";
+                std::string detail =
+                    "group " + std::to_string(g) + " active node " +
+                    std::to_string(active_id) + " at sn " +
+                    std::to_string(mds->last_sn()) +
+                    " lost committed batches (watermark " +
+                    std::to_string(watermark) + "); view fence " +
+                    std::to_string(view.fence_token) + "; members:";
+                for (const auto& m : groups_[g]) {
+                  detail += " [node " + std::to_string(m->id()) +
+                            (m->alive() ? " alive" : " dead") + " role=" +
+                            ServerStateName(m->role()) +
+                            " last_sn=" + std::to_string(m->last_sn()) +
+                            " committed_sn=" +
+                            std::to_string(m->committed_sn()) + "]";
+                }
+                return detail;
               }
             }
           }

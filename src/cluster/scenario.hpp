@@ -11,20 +11,17 @@
 //   expect-active 0           # exactly one active again
 //   expect-exists /data/file-1
 //   expect-converged 0        # every standby matches the active
-//   unplug 0 1                # pull member (group 0, index 1)'s cable
-//   run 8s
-//   replug 0 1
+//   unplug 0 1 for 8s         # pull member (group 0, index 1)'s cable
 //   restart 0 0               # restart member (0,0)
 //   force-lock-release 0      # the paper's Test A injection
 //   expect-state 0 "S A S S"  # Table II row
 //   print-view 0
 //
-// Commands dispatch through a registry (name -> handler + usage + help),
-// not a hard-coded switch: `help` lists every registered command, an
-// unknown command suggests its nearest neighbour, and command packs —
-// e.g. RegisterElasticCommands, which plugs in `autoscale`, `load`,
-// `slow-disk`, `asymmetry`, `expect-standbys`, `expect-metric` — extend
-// the language without editing this file.
+// Commands dispatch through one table (name -> usage + help + handler):
+// `help` lists every command and an unknown command suggests its nearest
+// neighbour. Every fault kind in cluster::FaultKinds() is a command; it
+// parses into a cluster::Fault and runs through the cluster's
+// FaultExecutor, the same path the checker's fuzzer uses.
 //
 // The runner executes commands sequentially, pumping the simulator as
 // needed; failed expectations are collected (not thrown) so a scenario
@@ -39,28 +36,31 @@
 #include <vector>
 
 #include "cluster/cfs.hpp"
+#include "cluster/fault.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 
+namespace mams::workload {
+class LoadEngine;
+}
+
 namespace mams::cluster {
+
+class Autoscaler;
 
 struct ScenarioRunnerOptions {
   bool echo = false;  ///< print each command + outcome to stdout
 };
 
+/// Parses a fault command's arguments in the scenario language, e.g.
+/// ("unplug", {"0", "1", "for", "8s"}). NotFound when `command` names no
+/// fault kind; InvalidArgument on malformed arguments.
+Result<Fault> ParseFault(const std::string& command,
+                         const std::vector<std::string>& args);
+
 class ScenarioRunner {
  public:
   using Options = ScenarioRunnerOptions;
-  using Handler = std::function<Status(const std::vector<std::string>& args)>;
-
-  /// One entry in the command registry. `usage` is the one-line synopsis
-  /// shown on arity errors and by `help`; `help` is the prose description.
-  struct Command {
-    std::string name;
-    std::string usage;
-    std::string help;
-    Handler handler;
-  };
 
   explicit ScenarioRunner(Options options = {});
   ~ScenarioRunner();
@@ -69,109 +69,75 @@ class ScenarioRunner {
   /// expectation held. Parse errors abort; expectation failures accumulate.
   Status Run(const std::string& script);
 
-  // --- extension surface --------------------------------------------------
-
-  /// Adds a command to the registry. Fails on a duplicate name — a pack
-  /// must not silently shadow a builtin.
-  Status RegisterCommand(Command cmd);
-  bool HasCommand(const std::string& name) const {
-    return commands_.contains(name);
-  }
-  /// Registered commands in name order (drives `help`).
-  std::vector<const Command*> Commands() const;
-
-  /// Named slot for a command pack to stash cross-command state in (an
-  /// Autoscaler, a LoadEngine, ...). The slot lives as long as the runner;
-  /// its contents are destroyed before the cluster on reset/destruction.
-  std::shared_ptr<void>& ExtensionSlot(const std::string& key) {
-    return extensions_[key];
+  const std::vector<std::string>& failures() const noexcept {
+    return failures_;
   }
 
-  // --- helpers for handlers (builtin and pack alike) ----------------------
+ private:
+  using Handler = std::function<Status(const std::vector<std::string>& args)>;
 
-  /// True when a `cluster` command has run; otherwise records a failure
-  /// attributed to `cmd` and returns false.
-  bool RequireCluster(const char* cmd);
+  /// One entry in the command table. `usage` is the one-line synopsis
+  /// `help` prints and a wrong argument count reports; `help` is the prose
+  /// description.
+  struct Command {
+    std::string usage;
+    std::string help;
+    std::size_t min_args;
+    std::size_t max_args;
+    Handler handler;
+  };
+
+  void AddCommands();
+  Status Execute(const std::vector<std::string>& tokens, int line_no);
+  /// Closest command by edit distance, or "" when nothing is close enough
+  /// to be a plausible typo.
+  std::string Suggest(const std::string& cmd) const;
+
+  /// Parses a group index of the cluster; InvalidArgument when outside it.
+  Result<GroupId> ParseGroup(const std::string& arg) const;
   /// Records an expectation failure (collected, not thrown).
   void Fail(std::string what);
-  /// Records a log line (and echoes it when echo is on).
-  void Note(std::string what);
+  /// Echoes a log line when echo is on.
+  void Note(const std::string& what);
   /// Pumps the simulator in 50 ms steps until `done` or the budget elapses.
   bool PumpUntil(const std::function<bool()>& done,
                  SimTime budget = 120 * kSecond);
 
-  /// Parses "2s" / "500ms" / "250us" into virtual time.
-  static Result<SimTime> ParseDuration(const std::string& s);
-  static Result<int> ParseInt(const std::string& s);
-  static Result<double> ParseDouble(const std::string& s);
-  /// Splits "key=value"; returns false when there is no '='.
-  static bool KeyValue(const std::string& tok, std::string& key,
-                       std::string& value);
-
-  // --- observability ------------------------------------------------------
-
-  const std::vector<std::string>& failures() const noexcept {
-    return failures_;
-  }
-  const std::vector<std::string>& log() const noexcept { return log_; }
-
-  /// The cluster under test (valid after a `cluster` command ran).
-  CfsCluster* cluster() noexcept { return cluster_.get(); }
-  sim::Simulator* simulator() noexcept { return sim_.get(); }
-  net::Network* network() noexcept { return net_.get(); }
-
-  std::uint64_t ops_ok() const noexcept { return ops_ok_; }
-  std::uint64_t ops_failed() const noexcept { return ops_failed_; }
-
- private:
-  void RegisterBuiltins();
-  Status Execute(const std::vector<std::string>& tokens, int line_no);
-  /// Closest registered command by edit distance, or "" when nothing is
-  /// close enough to be a plausible typo.
-  std::string Suggest(const std::string& cmd) const;
-
-  // Builtin command implementations (each returns a parse/shape error or
-  // OK; expectation outcomes go to failures_).
+  // Command implementations, run once the argument count fits and a
+  // cluster exists (except `cluster` and `help`): each returns a parse
+  // error or OK; expectation outcomes go to failures_.
   Status CmdCluster(const std::vector<std::string>& args);
   Status CmdRun(const std::vector<std::string>& args);
   Status CmdClientOp(const std::string& op,
                      const std::vector<std::string>& args);
-  Status CmdCrashActive(const std::vector<std::string>& args);
-  Status CmdCrash(const std::vector<std::string>& args);
-  Status CmdRestart(const std::vector<std::string>& args);
-  Status CmdCrashPool(const std::vector<std::string>& args, bool restart);
-  Status CmdUnplug(const std::vector<std::string>& args, bool up);
-  Status CmdForceLockRelease(const std::vector<std::string>& args);
-  Status CmdAddBackup(const std::vector<std::string>& args);
+  Status CmdFault(const std::string& command,
+                  const std::vector<std::string>& args);
+  Status CmdAutoscale(const std::vector<std::string>& args);
+  Status CmdLoad(const std::vector<std::string>& args);
   Status CmdHelp(const std::vector<std::string>& args);
   Status CmdExpectActive(const std::vector<std::string>& args);
   Status CmdExpectExists(const std::vector<std::string>& args, bool want);
   Status CmdExpectConverged(const std::vector<std::string>& args);
   Status CmdExpectState(const std::vector<std::string>& args);
   Status CmdExpectCounts(const std::vector<std::string>& args);
-  Status CmdExpectProbesClean(const std::vector<std::string>& args);
+  Status CmdExpectStandbys(const std::vector<std::string>& args);
+  Status CmdExpectMetric(const std::vector<std::string>& args);
+  Status CmdExpectProbesClean();
   Status CmdPrintView(const std::vector<std::string>& args);
 
   Options options_;
   std::map<std::string, Command> commands_;
-  /// Cleared (in the destructor and on cluster reset) before the cluster
-  /// goes away — packs hold controllers that reference it.
-  std::map<std::string, std::shared_ptr<void>> extensions_;
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<CfsCluster> cluster_;
+  // These reference the cluster, so they are declared after it (destroyed
+  // first) and reset before it on a `cluster` rebuild.
+  std::unique_ptr<FaultExecutor> faults_;
+  std::unique_ptr<Autoscaler> autoscaler_;
+  std::unique_ptr<workload::LoadEngine> load_;
   std::vector<std::string> failures_;
-  std::vector<std::string> log_;
   int pending_ops_ = 0;
-  std::uint64_t ops_ok_ = 0;
   std::uint64_t ops_failed_ = 0;
 };
-
-/// Registers the elastic command pack: `autoscale`, `load`, `slow-disk`,
-/// `asymmetry`, `add-standby`, `remove-standby`, `promote`,
-/// `expect-standbys`, `expect-metric`. Implemented in
-/// scenario_commands.cpp; kept out of the core runner deliberately — it is
-/// the proof that the registry extension surface is sufficient.
-Status RegisterElasticCommands(ScenarioRunner& runner);
 
 }  // namespace mams::cluster

@@ -182,9 +182,7 @@ Status RunNamedScenario(const std::string& name, std::uint64_t seed,
                             ")");
   }
   ScenarioRunner runner(options);
-  Status s = RegisterElasticCommands(runner);
-  if (!s.ok()) return s;
-  s = runner.Run(InstantiateScenario(*scenario, seed));
+  const Status s = runner.Run(InstantiateScenario(*scenario, seed));
   if (failures != nullptr) *failures = runner.failures();
   return s;
 }

@@ -40,9 +40,9 @@ const NamedScenario* FindScenario(const std::string& name);
 std::string InstantiateScenario(const NamedScenario& scenario,
                                 std::uint64_t seed);
 
-/// Convenience: builds a runner (with the elastic command pack), runs the
-/// named scenario at `seed`, and returns the overall status. When
-/// `failures` is non-null it receives the collected expectation failures.
+/// Convenience: builds a runner, runs the named scenario at `seed`, and
+/// returns the overall status. When `failures` is non-null it receives the
+/// collected expectation failures.
 Status RunNamedScenario(const std::string& name, std::uint64_t seed,
                         ScenarioRunnerOptions options = {},
                         std::vector<std::string>* failures = nullptr);

@@ -15,6 +15,7 @@
 #include "check/model.hpp"
 #include "check/repro.hpp"
 #include "check/shrink.hpp"
+#include "cluster/scenario.hpp"
 #include "common/rng.hpp"
 #include "fsns/tree.hpp"
 #include "workload/opstream.hpp"
@@ -408,6 +409,75 @@ TEST(ReproTest, MalformedInputIsRejected) {
       ParseSpec("mams-repro v1\nseed=1\nop 0 0 bogus-kind /p\n").ok());
   EXPECT_FALSE(
       ParseSpec("mams-repro v1\nseed=1\nfault bogus-kind 0 0 0 0\n").ok());
+  // Each of these used to replay into an out-of-range index or a division
+  // by zero members.
+  for (const char* body :
+       {"fault crash 2500000 -1 1000000 0\n", "standbys=-1\n",
+        "standbys=-1\nfault crash 0 0 1000000 0\n",
+        "fault crash -5 0 1000000 0\n", "fault crash 0 0 -1 0\n",
+        "fault jitter 0 0 1000000 -7\n", "fault crash 0 3 1000000 0\n",
+        "fault crash_active 0 1 1000000 0\n", "fault migrate 0 64 0 0\n",
+        "fault jitter 0 2 1000000 500\n", "fault replug 0 0 1000000 0\n",
+        "fault crash 0 0 1000000 9\n"}) {
+    const Result<RunSpec> parsed =
+        ParseSpec(std::string("mams-repro v1\nseed=1\n") + body);
+    ASSERT_FALSE(parsed.ok()) << body;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << body;
+  }
+}
+
+TEST(ReproTest, EveryFaultKindParsesAlikeFromScenarioAndRepro) {
+  using Target = cluster::FaultKindInfo::Target;
+  using Param = cluster::FaultKindInfo::Param;
+  // groups=2, standbys=2: member (1, 2) packs to 1 * 3 + 2 = 5.
+  for (const cluster::FaultKindInfo& info : cluster::FaultKinds()) {
+    std::vector<std::string> args;
+    int target = 0;
+    if (info.target == Target::kGroup) {
+      args = {"1"};
+      target = 1;
+    } else if (info.target == Target::kSlot) {
+      args = {"5"};
+      target = 5;
+    } else if (info.target != Target::kNone) {
+      args = {"1", "2"};
+      target = 5;
+    }
+    SimTime param = 0;
+    if (info.param == Param::kJitter) {
+      args.push_back("5ms");
+      param = 5 * kMillisecond;
+    } else if (info.param == Param::kFactor) {
+      args.push_back("2.5");
+      param = 2500;
+    } else if (info.param == Param::kDirection) {
+      args.push_back("out");
+      param = cluster::kAsymmetryOut;
+    }
+    SimTime duration = 0;
+    if (info.timed) {
+      args.insert(args.end(), {"for", "3s"});
+      duration = 3 * kSecond;
+    }
+    const Result<cluster::Fault> scenario =
+        cluster::ParseFault(info.command, args);
+    ASSERT_TRUE(scenario.ok()) << info.command << ": "
+                               << scenario.status().ToString();
+
+    const std::string line = std::string("fault ") + info.repro + " 0 " +
+                             std::to_string(target) + " " +
+                             std::to_string(duration) + " " +
+                             std::to_string(param) + "\n";
+    const std::string text =
+        "mams-repro v1\nseed=1\nclients=2\ngroups=2\nstandbys=2\n" + line;
+    const Result<RunSpec> repro = ParseSpec(text);
+    ASSERT_TRUE(repro.ok()) << line << repro.status().ToString();
+    ASSERT_EQ(repro.value().faults.size(), 1u);
+    EXPECT_EQ(repro.value().faults[0], scenario.value()) << info.command;
+    EXPECT_EQ(repro.value().faults[0].kind, info.kind) << info.command;
+    EXPECT_NE(SerializeSpec(repro.value()).find(line), std::string::npos)
+        << info.command;
+  }
 }
 
 TEST(ReproTest, SpecFileRoundTrip) {

@@ -200,13 +200,13 @@ TEST_F(CoordTest, FenceTokenIncreasesPerGrant) {
   Join(1, ServerState::kStandby);
   FenceToken t1 = 0, t2 = 0;
   members_[0]->client().TryLock(0, 1, 0, [&](Result<CoordClient::LockResult> r) {
-    t1 = r.value().fence;
+    if (r.ok()) t1 = r.value().fence;
   });
   sim_.RunUntil(sim_.Now() + kSecond);
   members_[0]->client().ReleaseLock(0, [](Status) {});
   sim_.RunUntil(sim_.Now() + kSecond);
   members_[1]->client().TryLock(0, 1, 0, [&](Result<CoordClient::LockResult> r) {
-    t2 = r.value().fence;
+    if (r.ok()) t2 = r.value().fence;
   });
   sim_.RunUntil(sim_.Now() + kSecond);
   EXPECT_GT(t1, 0u);
@@ -229,9 +229,10 @@ TEST_F(CoordTest, FencedSetStateOnPeerRequiresCurrentToken) {
   Join(1, ServerState::kStandby);
   FenceToken fence = 0;
   members_[1]->client().TryLock(0, 1, 0, [&](Result<CoordClient::LockResult> r) {
-    fence = r.value().fence;
+    if (r.ok()) fence = r.value().fence;
   });
   sim_.RunUntil(sim_.Now() + kSecond);
+  ASSERT_GT(fence, 0u);
 
   // Wrong token: rejected.
   Status bad = Status::Ok();

@@ -28,6 +28,81 @@ TEST(ScenarioParseTest, CommandsBeforeClusterFailGracefully) {
   EXPECT_FALSE(runner.failures().empty());
 }
 
+TEST(ScenarioParseTest, AddressOutsideClusterIsInvalidArgument) {
+  // Each used to index past the group, member or pool-node vectors.
+  for (const char* line :
+       {"crash 4 0", "crash 0 9", "crash-pool 3 0", "slow-disk 0 7 50",
+        "unplug -1 0", "crash-active 2", "migrate 64", "expect-active 4",
+        "expect-converged 4", "expect-standbys 4 1", "print-view 4"}) {
+    ScenarioRunner runner;
+    const Status s =
+        runner.Run(std::string("cluster groups=1 standbys=2\n") + line + "\n");
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(s.message().find("out of range"), std::string::npos)
+        << line << ": " << s.message();
+  }
+}
+
+TEST(ScenarioParseTest, MalformedFaultArgumentsAreRejected) {
+  for (const char* line : {"crash 0", "crash 0 1 for", "restart 0 1 for 2s",
+                           "asymmetry 0 0 sideways", "slow-disk 0 0 -2",
+                           "jitter banana", "force-lock-release"}) {
+    ScenarioRunner runner;
+    const Status s =
+        runner.Run(std::string("cluster groups=1 standbys=2\n") + line + "\n");
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << line;
+  }
+}
+
+TEST(ScenarioParseTest, ClusterSizesAreRangeChecked) {
+  // Each used to crash at boot or boot a cluster with no group.
+  for (const char* line : {"cluster standbys=-1", "cluster clients=0",
+                           "cluster groups=0", "cluster juniors=-2"}) {
+    ScenarioRunner runner;
+    EXPECT_EQ(runner.Run(std::string(line) + "\n").code(),
+              StatusCode::kInvalidArgument)
+        << line;
+  }
+}
+
+TEST(FaultExecutorTest, LaterFaultSupersedesTimedHeal) {
+  sim::Simulator sim(3);
+  net::Network net(sim);
+  CfsConfig cfg;
+  cfg.standbys_per_group = 2;
+  cfg.clients = 1;
+  cfg.data_servers = 1;
+  CfsCluster cfs(net, cfg);
+  FaultExecutor faults(cfs);
+  cfs.Start();
+  sim.RunUntil(kSecond);
+  const NodeId a = cfs.mds(0, 1).id();
+  const NodeId b = cfs.mds(0, 2).id();
+
+  // A timed unplug heals on its own...
+  ASSERT_TRUE(faults.Apply({.kind = Fault::Kind::kUnplug, .member = 1,
+                            .duration = 2 * kSecond})
+                  .ok());
+  EXPECT_FALSE(net.Connected(a, b));
+  sim.RunUntil(sim.Now() + 3 * kSecond);
+  EXPECT_TRUE(net.Connected(a, b));
+
+  // ...unless a later fault on the same wire supersedes the pending heal.
+  ASSERT_TRUE(faults.Apply({.kind = Fault::Kind::kUnplug, .member = 1,
+                            .duration = 2 * kSecond})
+                  .ok());
+  ASSERT_TRUE(faults.Apply({.kind = Fault::Kind::kUnplug, .member = 1}).ok());
+  sim.RunUntil(sim.Now() + 3 * kSecond);
+  EXPECT_FALSE(net.Connected(a, b));
+
+  // HealAll restores the wire and restarts a crashed member.
+  ASSERT_TRUE(faults.Apply({.kind = Fault::Kind::kCrash, .member = 2}).ok());
+  faults.HealAll();
+  sim.RunUntil(sim.Now() + kSecond);
+  EXPECT_TRUE(net.Connected(a, b));
+  EXPECT_TRUE(cfs.mds(0, 2).alive());
+}
+
 TEST(ScenarioParseTest, CommentsAndBlankLinesIgnored) {
   ScenarioRunner runner;
   EXPECT_TRUE(runner
@@ -132,33 +207,8 @@ TEST(ScenarioRegistryTest, HelpListsCommandsAndExplainsOne) {
   ASSERT_FALSE(s.ok());
 }
 
-TEST(ScenarioRegistryTest, DuplicateRegistrationRejected) {
-  ScenarioRunner runner;
-  ASSERT_TRUE(runner.HasCommand("create"));
-  Status s = runner.RegisterCommand(
-      {"create", "create <path>", "dup",
-       [](const std::vector<std::string>&) { return Status::Ok(); }});
-  EXPECT_EQ(s.code(), StatusCode::kAlreadyExists);
-}
-
-TEST(ScenarioRegistryTest, CommandPackRegistersAndRuns) {
-  ScenarioRunner runner;
-  int hits = 0;
-  ASSERT_TRUE(runner
-                  .RegisterCommand({"touch-counter", "touch-counter",
-                                    "test-pack command",
-                                    [&hits](const std::vector<std::string>&) {
-                                      ++hits;
-                                      return Status::Ok();
-                                    }})
-                  .ok());
-  EXPECT_TRUE(runner.Run("touch-counter\ntouch-counter\n").ok());
-  EXPECT_EQ(hits, 2);
-}
-
 TEST(ScenarioElasticPackTest, ExpectMetricReadsRegistryValues) {
   ScenarioRunner runner;
-  ASSERT_TRUE(RegisterElasticCommands(runner).ok());
   Status s = runner.Run(R"(
 cluster groups=1 standbys=1 seed=23
 run 500ms
@@ -168,7 +218,6 @@ expect-metric mds.ops_served >= 1
   EXPECT_TRUE(s.ok()) << s.ToString();
   // An unsatisfied comparison is an expectation failure, not a parse error.
   ScenarioRunner runner2;
-  ASSERT_TRUE(RegisterElasticCommands(runner2).ok());
   s = runner2.Run(R"(
 cluster groups=1 standbys=1 seed=23
 run 500ms
@@ -180,7 +229,6 @@ expect-metric mds.ops_served >= 1000000
 
 TEST(ScenarioElasticPackTest, ExpectStandbysWaitsForMembership) {
   ScenarioRunner runner;
-  ASSERT_TRUE(RegisterElasticCommands(runner).ok());
   Status s = runner.Run(R"(
 cluster groups=1 standbys=1 seed=29
 run 1s
@@ -196,7 +244,6 @@ expect-standbys 0 1 1
   // Promoting when no junior exists is an expectation failure, reported
   // through the normal failure channel rather than aborting the script.
   ScenarioRunner runner2;
-  ASSERT_TRUE(RegisterElasticCommands(runner2).ok());
   s = runner2.Run(R"(
 cluster groups=1 standbys=1 seed=31
 run 500ms
@@ -212,7 +259,7 @@ TEST(ScenarioTest, AddBackupScenario) {
 cluster groups=1 standbys=1 seed=19
 run 1s
 create /grow
-add-backup 0
+add-standby 0
 run 30s
 expect-state 0 "A S S"
 expect-converged 0
