@@ -421,34 +421,65 @@ class CfsCluster {
             for (const auto& mds : groups_[g]) {
               watermark = std::max(watermark, mds->committed_sn());
             }
-            const auto& view = coord_.frontend().PeekView(g);
-            const NodeId active_id = view.FindActive();
-            if (active_id == kInvalidNode) continue;
+            const core::MdsServer* active = SettledActive(g);
+            if (active != nullptr && active->last_sn() < watermark) {
+              std::string detail =
+                  "group " + std::to_string(g) + " active node " +
+                  std::to_string(active->id()) + " at sn " +
+                  std::to_string(active->last_sn()) +
+                  " lost committed batches (watermark " +
+                  std::to_string(watermark) + "); view fence " +
+                  std::to_string(coord_.frontend().PeekView(g).fence_token) +
+                  "; members:";
+              for (const auto& m : groups_[g]) {
+                detail += " [node " + std::to_string(m->id()) +
+                          (m->alive() ? " alive" : " dead") + " role=" +
+                          ServerStateName(m->role()) +
+                          " last_sn=" + std::to_string(m->last_sn()) +
+                          " committed_sn=" +
+                          std::to_string(m->committed_sn()) + "]";
+              }
+              return detail;
+            }
+          }
+          return std::nullopt;
+        }));
+
+    // A standby replays the settled active's journal, so it can never be
+    // ahead of it: one that is holds batches the active never committed
+    // (or sns the active has since reused) and serves a diverged namespace.
+    probe_ids_.push_back(probes.Register(
+        "standby_not_ahead_of_active", [this]() -> std::optional<std::string> {
+          for (GroupId g = 0; g < static_cast<GroupId>(groups_.size()); ++g) {
+            const core::MdsServer* active = SettledActive(g);
+            if (active == nullptr) continue;
             for (const auto& mds : groups_[g]) {
-              if (mds->id() != active_id) continue;
-              if (mds->alive() && mds->role() == ServerState::kActive &&
-                  mds->last_sn() < watermark) {
-                std::string detail =
-                    "group " + std::to_string(g) + " active node " +
-                    std::to_string(active_id) + " at sn " +
-                    std::to_string(mds->last_sn()) +
-                    " lost committed batches (watermark " +
-                    std::to_string(watermark) + "); view fence " +
-                    std::to_string(view.fence_token) + "; members:";
-                for (const auto& m : groups_[g]) {
-                  detail += " [node " + std::to_string(m->id()) +
-                            (m->alive() ? " alive" : " dead") + " role=" +
-                            ServerStateName(m->role()) +
-                            " last_sn=" + std::to_string(m->last_sn()) +
-                            " committed_sn=" +
-                            std::to_string(m->committed_sn()) + "]";
-                }
-                return detail;
+              if (mds->alive() && mds->role() == ServerState::kStandby &&
+                  mds->last_sn() > active->last_sn()) {
+                return "group " + std::to_string(g) + " standby node " +
+                       std::to_string(mds->id()) + " at sn " +
+                       std::to_string(mds->last_sn()) +
+                       " is ahead of active node " +
+                       std::to_string(active->id()) + " at sn " +
+                       std::to_string(active->last_sn());
               }
             }
           }
           return std::nullopt;
         }));
+  }
+
+  /// The group's active once settled: the view names it, and it is alive
+  /// and acting as active. Null mid-failover.
+  const core::MdsServer* SettledActive(GroupId g) {
+    const NodeId id = coord_.frontend().PeekView(g).FindActive();
+    for (const auto& mds : groups_[g]) {
+      if (mds->id() == id && mds->alive() &&
+          mds->role() == ServerState::kActive) {
+        return mds.get();
+      }
+    }
+    return nullptr;
   }
 
   net::Network& network_;

@@ -41,11 +41,6 @@ constexpr net::RpcPolicy kSyncRpc{.attempt_timeout = 1500 * kMillisecond,
 /// window — peers that miss it are picked up by the renewing scan.
 constexpr net::RpcPolicy kRegisterRpc{.attempt_timeout = 250 * kMillisecond,
                                       .max_attempts = 1};
-/// Junior-side final-sync pulls against the active during renewing:
-/// retried until the junior catches up or the renew is abandoned.
-constexpr net::RpcPolicy kRenewFetchRpc{
-    .attempt_timeout = kSecond, .max_attempts = 0,
-    .backoff_base = 500 * kMillisecond, .backoff_multiplier = 1.0};
 
 /// Retry cadence for re-appending a batch whose SSP copy failed while the
 /// sync still committed on standby acks: the pool is the recovery source
@@ -324,9 +319,7 @@ void MdsServer::OnCrash() {
   renew_progress_timer_.reset();
   writer_.reset();
   // All volatile state is lost with the process image.
-  tree_.Reset();
-  blocks_.Clear();
-  last_sn_ = 0;
+  DiscardNamespace();
   committed_sn_ = 0;
   cpu_free_at_ = 0;
   pending_sync_.clear();
@@ -334,8 +327,6 @@ void MdsServer::OnCrash() {
   finalizing_syncs_ = false;
   pending_replies_.clear();
   sync_targets_.clear();
-  recent_batches_.clear();
-  pending_batches_.clear();
   backfill_inflight_ = false;
   // Parked reads die with the process; the clients' RPC layer times the
   // requests out and falls back to the active.
@@ -346,7 +337,6 @@ void MdsServer::OnCrash() {
   upgrade_in_progress_ = false;
   join_retries_ = 0;
   buffered_requests_.clear();
-  renew_ = RenewCursor{};
   renew_target_ = kInvalidNode;
   latest_image_.reset();
   view_ = coord::GroupView{};
@@ -363,6 +353,15 @@ void MdsServer::OnCrash() {
   ResetLeaseState();
   map_ = options_.partition_map;
   role_ = ServerState::kDown;
+}
+
+void MdsServer::DiscardNamespace() {
+  tree_.Reset();
+  blocks_.Clear();
+  last_sn_ = 0;
+  recent_batches_.clear();
+  pending_batches_.clear();
+  renew_ = RenewCursor{};
 }
 
 void MdsServer::OnRestart() {
@@ -617,78 +616,39 @@ void MdsServer::UpgradeStep4ReflushJournals() {
   // Before re-flushing, drain any journal tail the previous active managed
   // to persist in the SSP but never replicated to us (e.g. while every
   // standby was transiently demoted). Acked operations must never be lost.
-  //
-  // The drain consults EVERY placement replica, not one read with
-  // failover: appends ack on the first replica, so a pool node that was
-  // down during a write serves a stale-but-successful reply after restart,
-  // which would end a single-read drain early and silently lose the tail
-  // the other replica still holds.
-  UpgradeStep4DrainReplica(0, /*progressed=*/false);
-}
-
-void MdsServer::UpgradeStep4DrainReplica(std::size_t replica,
-                                         bool progressed) {
-  if (!upgrade_in_progress_) return;
-  const std::vector<NodeId> replicas = ssp_->Placement(JournalFile());
-  if (replica >= replicas.size()) {
-    // A replica that advanced us may have exposed records another replica
-    // holds the successor of (holes interleave): re-scan until a full
-    // pass over the placement makes no progress.
-    if (progressed) {
-      UpgradeStep4DrainReplica(0, false);
-    } else {
-      UpgradeStep4DoReflush();
-    }
-    return;
-  }
-  ssp_->ReadAfterOn(
-      replicas[replica], JournalFile(), last_sn_,
-      [this, replica, progressed](
-          Result<std::shared_ptr<const storage::SspReadReplyMsg>> r) {
-        if (!upgrade_in_progress_) return;
-        bool advanced = false;
-        bool more = false;
-        if (r.ok() && r.value()->found) {
-          for (const auto& rec : r.value()->records) {
-            auto batch = journal::Batch::Deserialize(rec.bytes);
-            if (batch.ok() && batch.value().sn == last_sn_ + 1) {
-              ApplyBatch(std::make_shared<const journal::Batch>(
-                  std::move(batch.value())));
-              advanced = true;
-            }
+  PullJournal(
+      /*from_ssp=*/true, kInvalidNode, [this] { return upgrade_in_progress_; },
+      [this](const PullResult& pulled) {
+        // SSP records past last_sn_ that nothing connects to mean a batch
+        // the pool once held is gone from every replica: serving from here
+        // would overwrite committed sns. Give the lock back instead.
+        if (pulled.hole) {
+          AbortUpgrade("SSP journal has a hole after sn " +
+                       std::to_string(last_sn_));
+          return;
+        }
+        // Step 4: re-flush the last cached journals to the whole group so
+        // that nothing the previous active half-replicated is missing
+        // anywhere. Receivers dedup by sn, so this is idempotent.
+        const std::size_t n = std::min<std::size_t>(recent_batches_.size(), 8);
+        inherited_from_sn_ = last_sn_ + 1;
+        for (std::size_t i = recent_batches_.size() - n;
+             i < recent_batches_.size(); ++i) {
+          auto msg = std::make_shared<JournalPrepareMsg>();
+          msg->group = options_.group;
+          msg->fence = fence_;
+          msg->batch = recent_batches_[i];
+          inherited_from_sn_ = std::min(inherited_from_sn_, msg->batch->sn);
+          for (NodeId peer : members_) {
+            if (peer != id()) Send(peer, msg);
           }
-          more = !r.value()->eof;
         }
-        if (advanced && more) {
-          UpgradeStep4DrainReplica(replica, true);  // keep draining this one
-        } else {
-          // Unreachable, stale, or a hole this replica cannot fill: move
-          // on; an unreadable replica behaves like an empty one.
-          UpgradeStep4DrainReplica(replica + 1, progressed || advanced);
-        }
+        StartStep("step5_gather_registrations");
+        UpgradeStep5Round(/*final_round=*/false);
       });
 }
 
-void MdsServer::UpgradeStep4DoReflush() {
-  // Step 4: re-flush the last cached journals to the whole group so that
-  // nothing the previous active half-replicated is missing anywhere.
-  // Receivers dedup by sn, so this is idempotent.
-  const std::size_t n = std::min<std::size_t>(recent_batches_.size(), 8);
-  for (std::size_t i = recent_batches_.size() - n; i < recent_batches_.size();
-       ++i) {
-    auto msg = std::make_shared<JournalPrepareMsg>();
-    msg->group = options_.group;
-    msg->fence = fence_;
-    msg->batch = recent_batches_[i];
-    for (NodeId peer : members_) {
-      if (peer != id()) Send(peer, msg);
-    }
-  }
-  StartStep("step5_gather_registrations");
-  UpgradeStep5GatherRegistrations();
-}
-
-void MdsServer::UpgradeStep5GatherRegistrations() {
+void MdsServer::UpgradeStep5Round(bool final_round) {
   // Step 5: every group member registers with the elected standby, which
   // confirms each one's state from its journal position. The first round
   // is a non-destructive probe: a registrant AHEAD of us may hold batches
@@ -696,10 +656,6 @@ void MdsServer::UpgradeStep5GatherRegistrations() {
   // draws randomly among standbys, so the election can pick a laggard.
   // Those batches must be adopted, not destroyed; only after catching up
   // does the final round ask still-ahead peers to discard.
-  UpgradeStep5Round(/*final_round=*/false);
-}
-
-void MdsServer::UpgradeStep5Round(bool final_round) {
   auto acks = std::make_shared<std::map<NodeId, SerialNumber>>();
   auto req = std::make_shared<GroupRegisterMsg>();
   req->group = options_.group;
@@ -733,37 +689,13 @@ void MdsServer::UpgradeStep5Round(bool final_round) {
       UpgradeStep5Classify(*acks);
       return;
     }
-    UpgradeStep5CatchUp(source, target_sn);
+    // Adopt what the registrant ahead holds. A pull that stalls (peer gone,
+    // or its recent-batch window no longer covers our gap) finalizes with
+    // what we have: the peer classifies as a junior and renewal reconciles.
+    PullJournal(
+        /*from_ssp=*/false, source, [this] { return upgrade_in_progress_; },
+        [this](const PullResult&) { UpgradeStep5Round(/*final_round=*/true); });
   });
-}
-
-void MdsServer::UpgradeStep5CatchUp(NodeId source, SerialNumber target_sn) {
-  if (!upgrade_in_progress_) return;
-  if (last_sn_ >= target_sn) {
-    UpgradeStep5Round(/*final_round=*/true);
-    return;
-  }
-  auto req = std::make_shared<RenewJournalFetchMsg>();
-  req->group = options_.group;
-  req->after_sn = last_sn_;
-  net::RpcCall::Start(
-      *this, source, req, kFetchRpc,
-      [this, source, target_sn,
-       before = last_sn_](Result<net::MessagePtr> r) {
-        if (!upgrade_in_progress_) return;
-        if (r.ok()) {
-          ApplyFetchedBatches(
-              net::Cast<RenewJournalReplyMsg>(r.value()).batches);
-        }
-        if (r.ok() && last_sn_ > before) {
-          UpgradeStep5CatchUp(source, target_sn);  // next chunk
-          return;
-        }
-        // Fetch failed or stalled (peer gone, or its recent-batch window
-        // no longer covers our gap): finalize with what we have — the
-        // peer classifies as a junior and renewal reconciles it.
-        UpgradeStep5Round(/*final_round=*/true);
-      });
 }
 
 void MdsServer::UpgradeStep5Classify(
@@ -780,6 +712,36 @@ void MdsServer::UpgradeStep5Classify(
 }
 
 void MdsServer::UpgradeStep6BecomeActive() {
+  // The SSP rule: append every inherited batch (the re-flushed tail and
+  // what step 5 adopted) under our own fence before serving. The previous
+  // active may have crashed before its own append, and a gap left below
+  // our batches is a hole no later renewal or junior election can cross.
+  // A failed append is retried like one that committed on acks alone.
+  auto left = std::make_shared<std::size_t>(1);  // 1 until all are sent
+  auto one_done = [this, left] {
+    if (--*left == 0) UpgradeStep6Serve();
+  };
+  for (const auto& batch : recent_batches_) {
+    if (batch->sn < inherited_from_sn_) continue;
+    ++*left;
+    storage::SspRecord record;
+    record.sn = batch->sn;
+    record.fence = fence_;
+    record.bytes = batch->Serialize();
+    ssp_->Append(JournalFile(), std::move(record),
+                 [this, one_done, sn = batch->sn](Status s) {
+                   if (!upgrade_in_progress_) return;
+                   if (!s.ok()) {
+                     AfterLocal(kSspAppendRetry,
+                                [this, sn] { RetrySspAppend(sn); });
+                   }
+                   one_done();
+                 });
+  }
+  one_done();
+}
+
+void MdsServer::UpgradeStep6Serve() {
   upgrade_in_progress_ = false;
   election_in_progress_ = false;
   BecomeRole(ServerState::kActive);
@@ -848,12 +810,7 @@ void MdsServer::StepDownFromActive(const char* why) {
   if (dirty) {
     MAMS_INFO("mds", "%s: discarding uncommitted namespace state",
               name().c_str());
-    tree_.Reset();
-    blocks_.Clear();
-    last_sn_ = 0;
-    recent_batches_.clear();
-    pending_batches_.clear();
-    renew_ = RenewCursor{};
+    DiscardNamespace();
     dirty_ = false;
   }
   // Leave the view ("-" in Table II) and wait for the new active's
@@ -1712,7 +1669,9 @@ void MdsServer::RetrySspAppend(SerialNumber sn) {
       break;
     }
   }
-  if (batch == nullptr) return;  // evicted; peers cover the failover drain
+  // Evicted from the window: no copy is left to append. A renewal that
+  // needs the batch stalls on it and is carried over by an image.
+  if (batch == nullptr) return;
   storage::SspRecord record;
   record.sn = sn;
   record.fence = fence_;
@@ -1798,12 +1757,6 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
         rec.txid = 0;
         (void)tree_.Apply(rec, &hint);
       }
-      ++counters_.duplicate_batches;
-      m_.duplicate_batches->Add();
-      ack->applied = true;
-      ack->max_sn = last_sn_;
-      reply(ack);
-      return;
     }
     ++counters_.duplicate_batches;
     m_.duplicate_batches->Add();
@@ -1814,40 +1767,22 @@ void MdsServer::HandleJournalPrepare(const net::Envelope& env,
   }
   pending_batches_.emplace(batch.sn, req.batch);
   ApplyReadyBatches();
-  if (!pending_batches_.empty()) RequestBackfill(env.from);
+  if (!pending_batches_.empty() && !backfill_inflight_) {
+    // Live-stream gap repair: pull what we missed from the sender.
+    backfill_inflight_ = true;
+    PullJournal(/*from_ssp=*/false, env.from, [] { return true; },
+                [this](const PullResult&) { backfill_inflight_ = false; });
+  }
   ack->applied = pending_batches_.empty();
   ack->max_sn = last_sn_;
   reply(ack);
 }
 
-void MdsServer::ApplyReadyBatches() {
-  while (true) {
-    auto it = pending_batches_.find(last_sn_ + 1);
-    if (it == pending_batches_.end()) break;
-    ApplyBatch(it->second);
-    pending_batches_.erase(it);
-  }
-  // Anything at or below last_sn_ is now garbage.
-  while (!pending_batches_.empty() &&
-         pending_batches_.begin()->first <= last_sn_) {
-    pending_batches_.erase(pending_batches_.begin());
-  }
-}
-
-void MdsServer::ApplyFetchedBatches(
-    const std::vector<journal::Batch>& batches) {
-  for (const auto& b : batches) {
-    if (b.sn > last_sn_) {
-      pending_batches_.emplace(b.sn, std::make_shared<const journal::Batch>(b));
-    }
-  }
-  ApplyReadyBatches();
-}
-
 namespace {
-/// Apply-side parallelism assumed by the replay cost model: journal replay
-/// (renewing, recovery) charges CriticalSlots(kApplyThreads) slots per
-/// batch instead of one per record. Live standby apply is not CPU-charged.
+/// Apply-side parallelism assumed by the replay cost model: pulled batches
+/// (renewing, failover, gap repair) charge CriticalSlots(kApplyThreads)
+/// slots per batch instead of one per record. The live stream is not
+/// CPU-charged.
 constexpr int kApplyThreads = 4;
 }  // namespace
 
@@ -1888,19 +1823,158 @@ std::size_t MdsServer::ApplyBatch(
   return plan.CriticalSlots(kApplyThreads);
 }
 
-void MdsServer::RequestBackfill(NodeId from) {
-  if (backfill_inflight_) return;
-  backfill_inflight_ = true;
+SimTime MdsServer::ApplyReadyBatches() {
+  std::uint64_t bytes = 0;
+  std::uint64_t records = 0;
+  std::uint64_t slots = 0;
+  while (true) {
+    auto it = pending_batches_.find(last_sn_ + 1);
+    if (it == pending_batches_.end()) break;
+    bytes += it->second->EncodedSize();
+    records += it->second->records.size();
+    slots += ApplyBatch(it->second);
+    pending_batches_.erase(it);
+  }
+  // Anything at or below last_sn_ is now garbage.
+  while (!pending_batches_.empty() &&
+         pending_batches_.begin()->first <= last_sn_) {
+    pending_batches_.erase(pending_batches_.begin());
+  }
+  // Replay CPU cost: the serial byte-rate model scaled by the dependency
+  // plans' critical path — with kApplyThreads workers a batch replays in
+  // CriticalSlots/records of the serial time (one thread would make the
+  // ratio 1.0, the serial model). This is where parallel apply shortens
+  // MTTR.
+  const double parallel_scale =
+      records > 0
+          ? static_cast<double>(slots) / static_cast<double>(records)
+          : 1.0;
+  return static_cast<SimTime>(static_cast<double>(bytes) / 200.0e6 *
+                              parallel_scale * kSecond);
+}
+
+// --- catch-up: the one journal pull ---------------------------------------------
+
+struct MdsServer::Pull {
+  /// A source with nothing more to give: it did not answer, or holds no
+  /// batch past last_sn_. It is never asked again.
+  static constexpr SerialNumber kDry = std::numeric_limits<SerialNumber>::max();
+  std::vector<NodeId> sources;  ///< SSP placement replicas, then the peer
+  std::size_t replicas = 0;     ///< how many of `sources` are SSP replicas
+  /// Per source: empty while its replies apply something; else the last_sn_
+  /// it was asked after when its reply applied nothing, or kDry.
+  std::vector<std::optional<SerialNumber>> stalled_at;
+  PullResult result;
+  std::function<bool()> live;
+  std::function<void(const PullResult&)> done;
+};
+
+void MdsServer::PullJournal(bool from_ssp, NodeId peer,
+                            std::function<bool()> live,
+                            std::function<void(const PullResult&)> done) {
+  auto pull = std::make_shared<Pull>();
+  if (from_ssp) pull->sources = ssp_->Placement(JournalFile());
+  pull->replicas = pull->sources.size();
+  if (peer != kInvalidNode && peer != id()) pull->sources.push_back(peer);
+  pull->stalled_at.resize(pull->sources.size());
+  pull->live = std::move(live);
+  pull->done = std::move(done);
+  PullNext(pull);
+}
+
+void MdsServer::PullNext(const std::shared_ptr<Pull>& pull) {
+  // Ask the first source that may still help, so the SSP drains before the
+  // peer is asked, and a replica whose hole another replica just filled is
+  // asked again before anything later.
+  std::size_t i = 0;
+  auto& stalled = pull->stalled_at;
+  while (i < stalled.size() && stalled[i] && *stalled[i] >= last_sn_) ++i;
+  if (i == stalled.size()) {
+    pull->result.hole =
+        std::any_of(stalled.begin(), stalled.end(),
+                    [](const auto& at) { return *at != Pull::kDry; });
+    pull->done(pull->result);
+    return;
+  }
+  // One reply: the batches past last_sn_, and the newest sn the source
+  // holds (0 when it did not answer).
+  auto on_reply = [this, pull, i](
+                      std::vector<std::shared_ptr<const journal::Batch>> got,
+                      SerialNumber newest) {
+    if (!pull->live()) return;
+    const SerialNumber asked_after = last_sn_;
+    // Park only a reply that connects to what we hold: one that starts
+    // past a hole cannot apply, and would pin its batches for nothing.
+    if (!got.empty() && got.front()->sn <= last_sn_ + 1) {
+      for (auto& b : got) pending_batches_.emplace(b->sn, std::move(b));
+    }
+    const SimTime cost = ApplyReadyBatches();
+    if (newest <= last_sn_) {
+      pull->stalled_at[i] = Pull::kDry;
+    } else if (last_sn_ == asked_after) {
+      pull->stalled_at[i] = last_sn_;
+    }
+    // Replay CPU is charged while the replica catches up. A serving
+    // standby repairing a gap in its live stream applies like the live
+    // stream, which the cost model leaves uncharged.
+    if (cost == 0 ||
+        (role_ == ServerState::kStandby && !upgrade_in_progress_)) {
+      PullNext(pull);
+      return;
+    }
+    AfterLocal(ChargeCpu(cost), [this, pull] {
+      if (pull->live()) PullNext(pull);
+    });
+  };
+  if (i < pull->replicas) {
+    // Each replica is read on its own: appends ack on the first replica,
+    // so a pool node that was down during a write has a hole after it
+    // restarts, and a read with failover would stop the drain there.
+    ssp_->ReadAfterOn(
+        pull->sources[i], JournalFile(), last_sn_,
+        [this, on_reply](
+            Result<std::shared_ptr<const storage::SspReadReplyMsg>> r) {
+          std::vector<std::shared_ptr<const journal::Batch>> got;
+          SerialNumber newest = 0;  // an unreadable replica is an empty one
+          if (r.ok() && r.value()->found) {
+            const auto& reply = *r.value();
+            newest = !reply.eof               ? Pull::kDry  // more past it
+                     : reply.records.empty() ? 0
+                                             : reply.records.back().sn;
+            for (const auto& rec : reply.records) {
+              if (rec.sn <= last_sn_) continue;
+              auto batch = journal::Batch::Deserialize(rec.bytes);
+              if (!batch.ok()) {
+                MAMS_ERROR("mds", "%s: corrupt journal batch sn=%llu",
+                           name().c_str(), (unsigned long long)rec.sn);
+                continue;
+              }
+              got.push_back(std::make_shared<const journal::Batch>(
+                  std::move(batch).value()));
+            }
+          }
+          on_reply(std::move(got), newest);
+        });
+    return;
+  }
   auto req = std::make_shared<RenewJournalFetchMsg>();
   req->group = options_.group;
   req->after_sn = last_sn_;
-  net::RpcCall::Start(*this, from, req, kFetchRpc,
-                      [this](Result<net::MessagePtr> r) {
-                        backfill_inflight_ = false;
-                        if (!r.ok()) return;
-                        ApplyFetchedBatches(
-                            net::Cast<RenewJournalReplyMsg>(r.value()).batches);
-                      });
+  net::RpcCall::Start(
+      *this, pull->sources[i], req, kFetchRpc,
+      [this, pull, on_reply](Result<net::MessagePtr> r) {
+        std::vector<std::shared_ptr<const journal::Batch>> got;
+        if (r.ok()) {
+          const auto& reply = net::Cast<RenewJournalReplyMsg>(r.value());
+          pull->result.peer_sn = reply.active_sn;
+          for (const auto& b : reply.batches) {
+            if (b.sn > last_sn_) {
+              got.push_back(std::make_shared<const journal::Batch>(b));
+            }
+          }
+        }
+        on_reply(std::move(got), r.ok() ? *pull->result.peer_sn : 0);
+      });
 }
 
 // --- renewing protocol: active side ---------------------------------------------
@@ -1953,17 +2027,28 @@ void MdsServer::HandleRenewProgress(const net::Envelope& env,
   if (role_ != ServerState::kActive) return;
   const auto& prog = net::Cast<RenewProgressMsg>(msg);
   const NodeId junior = env.from;
-  if (prog.failed) {
+  const SerialNumber reported_sn = prog.current_sn;
+  // A junior ahead of the active holds batches this active never committed
+  // (or sns it has since reused): as a standby it would diverge. It stays
+  // a junior.
+  const bool ahead = reported_sn > last_sn_;
+  if (ahead) {
+    obs_->tracer().Instant(
+        "renew", "junior_ahead_refused", junior, options_.group,
+        {{"junior_sn", static_cast<std::uint64_t>(reported_sn)},
+         {"active_sn", static_cast<std::uint64_t>(last_sn_)}});
+  }
+  if (prog.failed || ahead) {
     if (renew_target_ == junior) renew_target_ = kInvalidNode;
+    // A stalled junior's next batch is gone from the SSP and from our
+    // window; only an image past its sn can carry it over the gap.
+    if (prog.failed && (!latest_image_.has_value() ||
+                        latest_image_->second <= reported_sn)) {
+      WriteCheckpoint();
+    }
     return;
   }
-  FinishRenewTarget(junior, prog.current_sn);
-}
-
-void MdsServer::FinishRenewTarget(NodeId junior, SerialNumber reported_sn) {
-  const SerialNumber gap =
-      last_sn_ >= reported_sn ? last_sn_ - reported_sn : 0;
-  if (gap > kFinalSyncGap) return;  // keep catching up
+  if (last_sn_ - reported_sn > kFinalSyncGap) return;  // keep catching up
 
   // Final synchronization: include the junior in live replication and
   // resend whatever recent batches it may still miss (sn-deduped).
@@ -2012,26 +2097,24 @@ void MdsServer::HandleRenewCommand(const net::MessagePtr& msg) {
     return;
   }
   if (role_ != ServerState::kJunior) return;
-  renew_.target_sn = cmd.active_sn;
-  if (renew_.running) return;  // resume in place; new target noted
+  if (renew_.running) return;  // resume in place
   renew_.running = true;
   renew_span_ = obs_->tracer().Begin(
       "renew", "renewing", id(), options_.group,
       {{"from_sn", static_cast<std::uint64_t>(last_sn_)},
        {"target_sn", static_cast<std::uint64_t>(cmd.active_sn)}});
 
+  // A large gap starts from the newest image, resuming a cursor left on
+  // the same image; a small one goes straight to the journal.
   const bool use_image =
       !cmd.image_file.empty() && cmd.image_sn > last_sn_ &&
       (last_sn_ == 0 ||
        cmd.active_sn - last_sn_ > options_.image_gap_threshold);
   if (use_image && renew_.image_file != cmd.image_file) {
-    renew_.mode = RenewMode::kImageFirst;
+    renew_ = RenewCursor{};
+    renew_.running = true;
     renew_.image_file = cmd.image_file;
     renew_.image_sn = cmd.image_sn;
-    renew_.image_next_index = 0;
-    renew_.image_bytes.clear();
-  } else if (!use_image) {
-    renew_.mode = RenewMode::kJournalOnly;
   }
 
   if (!renew_progress_timer_) {
@@ -2041,12 +2124,11 @@ void MdsServer::HandleRenewCommand(const net::MessagePtr& msg) {
     renew_progress_timer_->Start();
   }
 
-  if (renew_.mode == RenewMode::kImageFirst) {
+  if (use_image) {
     StartRenewPhase("image_fetch");
     RenewFetchImageChunk();
   } else {
-    StartRenewPhase("journal_replay");
-    RenewFetchJournal();
+    RenewPullJournal();
   }
 }
 
@@ -2071,9 +2153,7 @@ void MdsServer::RenewFetchImageChunk() {
         if (role_ != ServerState::kJunior || !renew_.running) return;
         if (!r.ok() || !r.value()->found) {
           // Pool unreachable or image gone: fall back to journal replay.
-          renew_.mode = RenewMode::kJournalOnly;
-          StartRenewPhase("journal_replay");
-          RenewFetchJournal();
+          RenewPullJournal();
           return;
         }
         const auto& reply = *r.value();
@@ -2101,120 +2181,42 @@ void MdsServer::RenewFetchImageChunk() {
                        s.ToString().c_str());
             tree_.Reset();
             last_sn_ = 0;
-            renew_.mode = RenewMode::kJournalOnly;
-            StartRenewPhase("journal_replay");
-            RenewFetchJournal();
+            RenewPullJournal();
             return;
           }
           last_sn_ = renew_.image_sn;
-          StartRenewPhase("journal_replay");
-          RenewFetchJournal();
+          // The recent window restarts at the image: batches cached from
+          // before it would make the window (which peers and step 4 read
+          // as one contiguous run) skip the sns the image folded in.
+          recent_batches_.clear();
+          RenewPullJournal();
         });
       });
 }
 
-void MdsServer::RenewFetchJournal() {
+void MdsServer::RenewPullJournal() {
   if (role_ != ServerState::kJunior || !renew_.running) return;
-  ssp_->ReadAfter(
-      JournalFile(), last_sn_,
-      [this](Result<std::shared_ptr<const storage::SspReadReplyMsg>> r) {
-        if (role_ != ServerState::kJunior || !renew_.running) return;
-        if (!r.ok()) {
-          SendRenewProgress(/*failed=*/true);
-          renew_.running = false;
-          EndRenewSpan("ssp_failed");
-          return;
-        }
-        const auto& reply = *r.value();
-        std::uint64_t applied_bytes = 0;
-        std::uint64_t applied_records = 0;
-        std::uint64_t applied_slots = 0;
-        for (const auto& rec : reply.records) {
-          auto batch = journal::Batch::Deserialize(rec.bytes);
-          if (!batch.ok()) {
-            MAMS_ERROR("mds", "%s: corrupt journal batch sn=%llu",
-                       name().c_str(), (unsigned long long)rec.sn);
-            continue;
-          }
-          if (batch.value().sn != last_sn_ + 1) continue;
-          applied_records += batch.value().records.size();
-          applied_slots += ApplyBatch(std::make_shared<const journal::Batch>(
-              std::move(batch.value())));
-          applied_bytes += rec.bytes.size();
-        }
-        // Replay CPU cost: the serial byte-rate model scaled by the
-        // dependency plans' critical path — with kApplyThreads workers a
-        // batch replays in CriticalSlots/records of the serial time (one
-        // thread would make the ratio 1.0, the serial model). This is where
-        // parallel apply shortens MTTR.
-        const double parallel_scale =
-            applied_records > 0 ? static_cast<double>(applied_slots) /
-                                      static_cast<double>(applied_records)
-                                : 1.0;
-        const SimTime cost =
-            ChargeCpu(static_cast<SimTime>(static_cast<double>(applied_bytes) /
-                                           200.0e6 * parallel_scale * kSecond));
-        AfterLocal(cost, [this, eof = reply.eof] {
-          if (role_ != ServerState::kJunior || !renew_.running) return;
-          if (!eof) {
-            RenewFetchJournal();
-            return;
-          }
-          // SSP drained. Under live load the active has moved on; enter
-          // the final synchronization stage: fetch the tail directly from
-          // the active until the gap is small (Section III.D).
-          StartRenewPhase("final_sync");
-          RenewFinalSync();
-        });
-      });
-}
-
-void MdsServer::RenewFinalSync() {
-  if (role_ != ServerState::kJunior || !renew_.running) return;
-  const NodeId active = view_.FindActive();
-  if (active == kInvalidNode || active == id()) {
-    // No active right now (mid-failover); progress reports resume the
-    // renewal once a new active scans the view.
-    renew_.running = false;
-    EndRenewSpan("no_active");
-    return;
-  }
-  auto req = std::make_shared<RenewJournalFetchMsg>();
-  req->group = options_.group;
-  req->after_sn = last_sn_;
-  // Retried under kRenewFetchRpc until the active answers or the renewal
-  // is abandoned (role change, abort); a crash forgets the call outright.
-  net::RpcHooks hooks;
-  hooks.cancelled = [this] {
-    return role_ != ServerState::kJunior || !renew_.running;
-  };
-  net::RpcCall::Start(
-      *this, active, req, kRenewFetchRpc,
-      [this](Result<net::MessagePtr> r) {
-        if (role_ != ServerState::kJunior || !renew_.running) return;
-        if (!r.ok()) return;  // cancelled mid-retry
-        const auto& resp = net::Cast<RenewJournalReplyMsg>(r.value());
-        for (const auto& b : resp.batches) {
-          if (b.sn == last_sn_ + 1) {
-            ApplyBatch(std::make_shared<const journal::Batch>(b));
-          } else if (b.sn > last_sn_) {
-            pending_batches_.emplace(
-                b.sn, std::make_shared<const journal::Batch>(b));
-          }
-        }
-        ApplyReadyBatches();
-        renew_.target_sn = resp.active_sn;
-        if (resp.active_sn > last_sn_ + kFinalSyncGap) {
-          RenewFinalSync();  // still chasing the live stream
-          return;
-        }
-        // Close enough: report; the active folds us into live replication
-        // and flips our state to standby.
+  // Journal catch-up, then the final synchronization (Section III.D).
+  StartRenewPhase("journal_replay");
+  PullJournal(
+      /*from_ssp=*/true, view_.FindActive(),
+      [this] { return role_ == ServerState::kJunior && renew_.running; },
+      [this](const PullResult& pulled) {
         renew_.running = false;
-        EndRenewSpan("caught_up");
-        SendRenewProgress();
-      },
-      std::move(hooks));
+        if (pulled.peer_sn && *pulled.peer_sn <= last_sn_ + kFinalSyncGap) {
+          // Close enough: report; the active folds us into live
+          // replication and flips our state to standby.
+          EndRenewSpan("caught_up");
+          SendRenewProgress();
+          return;
+        }
+        // Stalled: no active answered, or our next batch is in neither the
+        // SSP nor the active's window. Report it; the active checkpoints
+        // if its newest image does not cover our sn, and the next renew
+        // command starts from that image.
+        EndRenewSpan("stalled");
+        SendRenewProgress(/*failed=*/true);
+      });
 }
 
 // --- checkpoints ------------------------------------------------------------
@@ -2273,18 +2275,6 @@ std::string MdsServer::ImageFile(SerialNumber sn) const {
          std::to_string(sn) + "-f" + std::to_string(fence_);
 }
 
-std::vector<NodeId> MdsServer::CurrentStandbys() const {
-  std::vector<NodeId> out;
-  for (const auto& [node, state] : view_.states) {
-    if (node != id() && state == ServerState::kStandby) out.push_back(node);
-  }
-  return out;
-}
-
-bool MdsServer::IsSelfActiveInView() const {
-  return view_.FindActive() == id();
-}
-
 void MdsServer::RegisterHandlers() {
   OnRequest(net::kClientRequest,
             [this](const net::Envelope& env, const net::MessagePtr& msg,
@@ -2318,12 +2308,7 @@ void MdsServer::RegisterHandlers() {
                           "discarding uncommitted state",
                           name().c_str(), (unsigned long long)last_sn_,
                           (unsigned long long)req.active_sn);
-                tree_.Reset();
-                blocks_.Clear();
-                last_sn_ = 0;
-                recent_batches_.clear();
-                pending_batches_.clear();
-                renew_ = RenewCursor{};
+                DiscardNamespace();
                 if (role_ == ServerState::kStandby) {
                   BecomeRole(ServerState::kJunior);
                 }

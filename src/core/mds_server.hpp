@@ -51,8 +51,8 @@ struct GroupDirectory {
   }
 };
 
-/// One-shot fetches (journal backfill, cross-group tx legs, shard
-/// migration legs): callers have their own recovery story, so no retries.
+/// One-shot fetches (journal pulls, cross-group tx legs, shard migration
+/// legs): callers have their own recovery story, so no retries.
 inline constexpr net::RpcPolicy kFetchRpc{.attempt_timeout = kSecond,
                                           .max_attempts = 1};
 
@@ -302,14 +302,29 @@ class MdsServer : public net::Host {
   // --- standby/junior: replication intake ----------------------------------
   void HandleJournalPrepare(const net::Envelope& env,
                             const net::MessagePtr& msg, const ReplyFn& reply);
-  void ApplyReadyBatches();
-  /// Queues every fetched batch above last_sn_, then applies what is ready.
-  void ApplyFetchedBatches(const std::vector<journal::Batch>& batches);
-  void RequestBackfill(NodeId from);
+  /// Applies parked batches from last_sn_ + 1 on, in sn order, and drops
+  /// the ones at or below it. Returns the replay CPU cost of what applied.
+  SimTime ApplyReadyBatches();
   /// Applies a replicated batch through its dependency plan (see
   /// journal/apply_plan.hpp); returns the plan's critical-path slot count
-  /// under kApplyThreads, which the renew replay cost model uses.
+  /// under kApplyThreads, which the replay cost model uses.
   std::size_t ApplyBatch(const std::shared_ptr<const journal::Batch>& batch);
+
+  // --- catch-up: the one journal pull ---------------------------------------
+  struct PullResult {
+    /// A source holds batches past last_sn_ that nothing could connect.
+    bool hole = false;
+    std::optional<SerialNumber> peer_sn;  ///< in the peer's last reply
+  };
+  struct Pull;
+  /// Brings this replica forward from every SSP placement replica of the
+  /// journal (when `from_ssp`), then from `peer`'s recent-batch window
+  /// (kInvalidNode: none); docs/PROTOCOLS.md "Catching up" gives the stop
+  /// rule. `done` runs once no source is left; a `live` that turns false
+  /// drops the pull.
+  void PullJournal(bool from_ssp, NodeId peer, std::function<bool()> live,
+                   std::function<void(const PullResult&)> done);
+  void PullNext(const std::shared_ptr<Pull>& pull);
 
   // --- election + failover protocol (Section III.C) -------------------------
   void MaybeStartElection(const coord::GroupView& view);
@@ -317,13 +332,10 @@ class MdsServer : public net::Host {
   void UpgradeStep1CheckState();
   void UpgradeStep2FlipStates();
   void UpgradeStep4ReflushJournals();
-  void UpgradeStep4DrainReplica(std::size_t replica, bool progressed);
-  void UpgradeStep4DoReflush();
-  void UpgradeStep5GatherRegistrations();
   void UpgradeStep5Round(bool final_round);
-  void UpgradeStep5CatchUp(NodeId source, SerialNumber target_sn);
   void UpgradeStep5Classify(const std::map<NodeId, SerialNumber>& acks);
   void UpgradeStep6BecomeActive();
+  void UpgradeStep6Serve();
   void AbortUpgrade(const std::string& why);
   void StepDownFromActive(const char* why);
 
@@ -331,11 +343,9 @@ class MdsServer : public net::Host {
   void RenewScan();
   void HandleRenewCommand(const net::MessagePtr& msg);
   void RenewFetchImageChunk();
-  void RenewFetchJournal();
-  void RenewFinalSync();
+  void RenewPullJournal();
   void HandleRenewProgress(const net::Envelope& env,
                            const net::MessagePtr& msg);
-  void FinishRenewTarget(NodeId junior, SerialNumber reported_sn);
   void SendRenewProgress(bool failed = false);
 
   // --- shard subsystem (src/core/mds_shard.cpp) -------------------------------
@@ -417,9 +427,10 @@ class MdsServer : public net::Host {
     return "g" + std::to_string(options_.group) + "/journal";
   }
   std::string ImageFile(SerialNumber sn) const;
-  std::vector<NodeId> CurrentStandbys() const;
-  bool IsSelfActiveInView() const;
   void BecomeRole(ServerState role);
+  /// Drops the namespace and every journal position derived from it; the
+  /// replica then renews from scratch as a junior.
+  void DiscardNamespace();
 
   // --- immutable wiring ------------------------------------------------------
   MdsOptions options_;
@@ -515,6 +526,9 @@ class MdsServer : public net::Host {
   // --- election/upgrade state -------------------------------------------------
   bool election_in_progress_ = false;
   bool upgrade_in_progress_ = false;
+  /// First sn step 4 re-flushed; step 6 appends every cached batch from
+  /// here on to the SSP before serving (the SSP rule).
+  SerialNumber inherited_from_sn_ = 0;
   int join_retries_ = 0;  ///< feeds kJoinRetry backoff; reset on success
   std::deque<std::pair<std::shared_ptr<const ClientRequestMsg>, ReplyFn>>
       buffered_requests_;
@@ -526,12 +540,10 @@ class MdsServer : public net::Host {
   // Junior side (volatile cursor; resumable across *active* failures).
   struct RenewCursor {
     bool running = false;
-    RenewMode mode = RenewMode::kJournalOnly;
     std::string image_file;
     SerialNumber image_sn = 0;
     std::size_t image_next_index = 0;
     std::vector<char> image_bytes;
-    SerialNumber target_sn = 0;
   };
   RenewCursor renew_;
   std::unique_ptr<sim::PeriodicTimer> renew_progress_timer_;

@@ -181,16 +181,10 @@ struct GroupRegisterAckMsg final : net::Message {
 
 // --- renewing protocol (active <-> junior) -----------------------------------
 
-enum class RenewMode : std::uint8_t {
-  kJournalOnly = 1,  ///< small gap: stream journal batches
-  kImageFirst = 2,   ///< large gap: load latest image, then journal
-};
-
 struct RenewCommandMsg final : net::Message {
   GroupId group = 0;
   FenceToken fence = 0;
-  RenewMode mode = RenewMode::kJournalOnly;
-  std::string image_file;        ///< for kImageFirst: SSP file to load
+  std::string image_file;        ///< newest image; empty when none
   SerialNumber image_sn = 0;     ///< sn folded into that image
   SerialNumber active_sn = 0;
 
@@ -207,8 +201,8 @@ struct RenewProgressMsg final : net::Message {
   net::MsgType type() const noexcept override { return net::kRenewProgress; }
 };
 
-/// Direct journal fetch from the active (used when the SSP lags or for the
-/// final synchronization stage).
+/// Reads a peer's recent-batch window: the peer stage of the journal pull
+/// (renewing, failover step 5, live-stream gap repair).
 struct RenewJournalFetchMsg final : net::Message {
   GroupId group = 0;
   SerialNumber after_sn = 0;

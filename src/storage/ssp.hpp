@@ -5,8 +5,10 @@
 // Appends go to every replica; the operation completes on the first ACK
 // (standby 2PC, not the SSP, is the primary redundancy path for journal
 // data — the pool is the catch-up medium for juniors, per Section III.A).
-// Reads try replicas in placement order and fall over on timeout, so a
-// junior can keep recovering while a pool node is down.
+// Index reads (images) try replicas in placement order and fall over on
+// timeout, so a junior can keep recovering while a pool node is down.
+// Journal reads go to one named replica each (ReadAfterOn); the caller
+// consults every replica of the placement and merges.
 #pragma once
 
 #include <functional>
@@ -108,21 +110,12 @@ class SspClient {
     }
   }
 
-  /// Reads records with sn > `after_sn`, one chunk per call. The reply's
-  /// next_index/eof let the caller resume (checkpointed recovery).
+  /// Reads return one chunk per call; the reply's next_index/eof let the
+  /// caller resume (checkpointed recovery).
   using ReadCallback =
       std::function<void(Result<std::shared_ptr<const SspReadReplyMsg>>)>;
 
-  void ReadAfter(const std::string& file, SerialNumber after_sn,
-                 ReadCallback done) {
-    auto msg = std::make_shared<SspReadMsg>();
-    msg->file = file;
-    msg->after_sn = after_sn;
-    msg->max_bytes = kSspReadChunkBytes;
-    ReadWithFailover(file, std::move(msg), std::move(done));
-  }
-
-  /// Reads records after `after_sn` from ONE specific replica, with no
+  /// Reads records with sn > `after_sn` from ONE specific replica, with no
   /// failover. Appends ack on the first replica, so replicas may hold
   /// different subsequences of a file (a pool node that was down during a
   /// write has a hole after restart) — recovery paths that must not trust

@@ -5,6 +5,7 @@
 // transparent retry, and multi-failure scenarios (Table II).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -234,6 +235,116 @@ TEST_F(ClusterTest, RestartedActiveRejoinsAndIsRenewedToStandby) {
   EXPECT_EQ(old_active->role(), ServerState::kStandby);
   EXPECT_EQ(old_active->tree().Fingerprint(),
             cluster_->FindActive(0)->tree().Fingerprint());
+}
+
+// A batch that reaches the standbys but never the SSP: the active loses
+// the pool and crashes inside the 2 s SSP write timeout. The new active
+// must append every batch it inherited before it serves, or its own
+// batches leave a hole in the SSP journal that a later renewal or junior
+// election cannot cross.
+TEST_F(ClusterTest, FailoverMakesInheritedBatchesDurableInTheSsp) {
+  Build(1, 3);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(CreateFile("/pre" + std::to_string(i)).ok());
+  }
+  core::MdsServer* old_active = cluster_->FindActive(0);
+  ASSERT_NE(old_active, nullptr);
+  const int pool_nodes = static_cast<int>(cluster_->group_size(0));
+  for (int p = 0; p < pool_nodes; ++p) {
+    net_->Partition(old_active->id(), cluster_->pool_node(p).id());
+  }
+  const SerialNumber before = old_active->last_sn();
+  cluster_->client(0).Create("/no-ssp-copy", [](Status) {});
+  Run(500 * kMillisecond);  // on every standby; the SSP append hangs
+  ASSERT_GT(old_active->last_sn(), before);
+  old_active->Crash();
+  net_->HealAll();
+  Run(15 * kSecond);
+
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  ASSERT_GT(active->last_sn(), before);
+  ASSERT_TRUE(CreateFile("/post").ok());  // a batch of the new active's own
+  std::vector<SerialNumber> want(active->last_sn());
+  for (std::size_t i = 0; i < want.size(); ++i) want[i] = i + 1;
+  int replicas = 0;
+  for (int p = 0; p < pool_nodes; ++p) {
+    const auto* journal =
+        cluster_->pool_node(p).store().Find("g0/journal");
+    if (journal == nullptr) continue;
+    ++replicas;
+    std::vector<SerialNumber> got;
+    for (const auto& rec : journal->records()) got.push_back(rec.sn);
+    EXPECT_EQ(got, want) << "pool node " << p;
+  }
+  EXPECT_EQ(replicas, static_cast<int>(storage::kSspReplication));
+
+  // The ex-active restarts with nothing and renews from the SSP journal.
+  old_active->Restart();
+  EXPECT_TRUE(testutil::WaitFor(
+      *sim_, [&] { return old_active->role() == ServerState::kStandby; },
+      10 * kSecond));
+  EXPECT_EQ(old_active->tree().Fingerprint(), active->tree().Fingerprint());
+}
+
+// A junior that reports an sn above the active's holds batches the active
+// never committed; the active must not make it a standby.
+TEST_F(ClusterTest, JuniorAheadOfActiveIsNotPromoted) {
+  Build(1, 1, 7, /*juniors=*/1, [](CfsConfig& cfg) {
+    cfg.mds.renew_scan_period = 300 * kSecond;  // renew only when kicked
+  });
+  ASSERT_TRUE(CreateFile("/a").ok());
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  core::MdsServer& junior = cluster_->mds(0, 2);
+  ASSERT_EQ(junior.role(), ServerState::kJunior);
+  junior.SetLastSn(active->last_sn() + 100);
+  sim_->obs().tracer().set_enabled(true);
+  active->KickRenewScan();
+  Run(3 * kSecond);
+  EXPECT_EQ(junior.role(), ServerState::kJunior);
+  EXPECT_EQ(cluster_->coord().frontend().PeekView(0).StateOf(junior.id()),
+            ServerState::kJunior);
+  const auto& instants = sim_->obs().tracer().instants();
+  EXPECT_TRUE(std::any_of(instants.begin(), instants.end(), [&](const auto& i) {
+    return i.name == "junior_ahead_refused" && i.node == junior.id();
+  }));
+}
+
+// A junior elected with no standby left drains the SSP journal in step 4.
+// When the pool holds batches past what the drain can connect (a hole),
+// serving would reuse committed sns: the junior must give the lock back.
+TEST_F(ClusterTest, ElectedJuniorGivesUpTheLockAtAnSspHole) {
+  Build(1, 0, 7, /*juniors=*/1, [](CfsConfig& cfg) {
+    cfg.mds.renew_scan_period = 300 * kSecond;  // the junior stays at sn 0
+  });
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(CreateFile("/h" + std::to_string(i)).ok());
+  }
+  core::MdsServer* active = cluster_->FindActive(0);
+  ASSERT_NE(active, nullptr);
+  core::MdsServer& junior = cluster_->mds(0, 1);
+  ASSERT_EQ(junior.role(), ServerState::kJunior);
+  // A batch two sns past the journal's end, on every replica.
+  journal::Batch beyond;
+  beyond.sn = active->last_sn() + 2;
+  storage::SspRecord rec;
+  rec.sn = beyond.sn;
+  rec.fence = active->fence();
+  rec.bytes = beyond.Serialize();
+  for (int p = 0; p < static_cast<int>(cluster_->group_size(0)); ++p) {
+    auto& store = cluster_->pool_node(p).store();
+    if (store.Exists("g0/journal")) {
+      ASSERT_TRUE(store.Open("g0/journal").Append(rec));
+    }
+  }
+  const SerialNumber journal_end = active->last_sn();
+  active->Crash();
+  Run(20 * kSecond);
+  EXPECT_GE(junior.counters().elections_won, 1u);
+  EXPECT_NE(junior.role(), ServerState::kActive);
+  EXPECT_EQ(junior.last_sn(), journal_end);  // drained up to the hole
+  EXPECT_EQ(cluster_->FindActive(0), nullptr);
 }
 
 TEST_F(ClusterTest, LockLossForcesStepDownAndNewElection) {

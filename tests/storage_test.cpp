@@ -121,38 +121,57 @@ TEST_F(SspTest, ReadAfterReturnsOnlyNewerRecords) {
     ssp_->Append("f", Rec(sn), [](Status) {});
   }
   sim_.RunAll();
-  std::vector<SerialNumber> got;
-  ssp_->ReadAfter("f", 2, [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
-    ASSERT_TRUE(r.ok());
-    for (const auto& rec : r.value()->records) got.push_back(rec.sn);
-  });
-  sim_.RunAll();
-  EXPECT_EQ(got, (std::vector<SerialNumber>{3, 4, 5}));
+  for (NodeId replica : ssp_->Placement("f")) {
+    std::vector<SerialNumber> got;
+    ssp_->ReadAfterOn(replica, "f", 2,
+                      [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
+                        ASSERT_TRUE(r.ok());
+                        for (const auto& rec : r.value()->records) {
+                          got.push_back(rec.sn);
+                        }
+                      });
+    sim_.RunAll();
+    EXPECT_EQ(got, (std::vector<SerialNumber>{3, 4, 5}));
+  }
 }
 
 TEST_F(SspTest, ReadFailsOverWhenPrimaryReplicaDown) {
   ssp_->Append("f", Rec(1), [](Status) {});
   sim_.RunAll();
   const auto placement = ssp_->Placement("f");
-  // Kill the first replica; the read must succeed from the second.
+  // Kill the first replica: an index read fails over to the second, while
+  // a journal read names its replica and sees each one as it is.
   for (auto& node : pool_) {
     if (node->id() == placement[0]) node->Crash();
   }
   bool ok = false;
-  ssp_->ReadAfter("f", 0, [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
+  ssp_->ReadIndex("f", 0, [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
     ok = r.ok() && r.value()->found;
   });
   sim_.RunAll();
   EXPECT_TRUE(ok);
+  bool dead_ok = true;
+  ssp_->ReadAfterOn(placement[0], "f", 0,
+                    [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
+                      dead_ok = r.ok();
+                    });
+  bool live_found = false;
+  ssp_->ReadAfterOn(placement[1], "f", 0,
+                    [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
+                      live_found = r.ok() && r.value()->found;
+                    });
+  sim_.RunAll();
+  EXPECT_FALSE(dead_ok);
+  EXPECT_TRUE(live_found);
 }
 
 TEST_F(SspTest, ReadOfMissingFileReportsNotFound) {
   bool found = true;
-  ssp_->ReadAfter("nope", 0,
-                  [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
-                    ASSERT_TRUE(r.ok());
-                    found = r.value()->found;
-                  });
+  ssp_->ReadAfterOn(ssp_->Placement("nope")[0], "nope", 0,
+                    [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
+                      ASSERT_TRUE(r.ok());
+                      found = r.value()->found;
+                    });
   sim_.RunAll();
   EXPECT_FALSE(found);
 }
@@ -166,13 +185,13 @@ TEST_F(SspTest, ChunkedReadIsResumable) {
   sim_.RunAll();
   std::size_t first_count = 0, next_index = 0;
   bool eof = true;
-  ssp_->ReadAfter("big", 0,
-                  [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
-                    ASSERT_TRUE(r.ok());
-                    first_count = r.value()->records.size();
-                    next_index = r.value()->next_index;
-                    eof = r.value()->eof;
-                  });
+  ssp_->ReadAfterOn(ssp_->Placement("big")[0], "big", 0,
+                    [&](Result<std::shared_ptr<const SspReadReplyMsg>> r) {
+                      ASSERT_TRUE(r.ok());
+                      first_count = r.value()->records.size();
+                      next_index = r.value()->next_index;
+                      eof = r.value()->eof;
+                    });
   sim_.RunAll();
   EXPECT_LT(first_count, 10u);
   EXPECT_FALSE(eof);
