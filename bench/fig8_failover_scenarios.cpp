@@ -12,6 +12,10 @@
 // - = down). Every injection is a cluster::Fault applied through the
 // cluster's FaultExecutor, the same path the checker and the scenario
 // language use.
+//
+// Each scenario runs the paper's 240 s. MAMS_BENCH_SECONDS, when set,
+// sets the run length instead and moves every injection to the same
+// fraction of the run, a crash's 15 s restart delay included.
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,8 +35,11 @@ using Kind = cluster::Fault::Kind;
 struct Scenario {
   const char* name;
   const char* description;
-  // Schedules the injections; called once with everything wired.
-  std::function<void(sim::Simulator&, cluster::FaultExecutor&)> schedule;
+  // Schedules the injections; called once with everything wired. `at`
+  // maps a time in the paper's 240 s run onto this run.
+  std::function<void(sim::Simulator&, cluster::FaultExecutor&,
+                     const std::function<SimTime(SimTime)>& at)>
+      schedule;
 };
 
 struct ScenarioResult {
@@ -41,9 +48,10 @@ struct ScenarioResult {
   std::vector<double> state_times;
 };
 
-constexpr SimTime kDuration = 240 * kSecond;
+constexpr SimTime kPaperDuration = 240 * kSecond;
 
-ScenarioResult RunScenario(const Scenario& scenario, std::uint64_t seed) {
+ScenarioResult RunScenario(const Scenario& scenario, std::uint64_t seed,
+                           SimTime duration) {
   sim::Simulator sim(seed);
   net::Network net(sim);
   cluster::CfsConfig cfg;
@@ -69,13 +77,15 @@ ScenarioResult RunScenario(const Scenario& scenario, std::uint64_t seed) {
     engines.back()->Start();
   }
 
-  scenario.schedule(sim, faults);
+  scenario.schedule(sim, faults, [duration](SimTime paper_time) {
+    return paper_time * (duration / kSecond) / (kPaperDuration / kSecond);
+  });
 
   // Sample the group view every 100 ms to record Table II's transitions.
   ScenarioResult result;
   std::string last_row;
   const SimTime t0 = sim.Now();
-  while (sim.Now() < t0 + kDuration) {
+  while (sim.Now() < t0 + duration) {
     sim.RunUntil(sim.Now() + 100 * kMillisecond);
     const std::string row = cfs.coord().frontend().PeekView(0).Row();
     if (row != last_row) {
@@ -124,6 +134,10 @@ int main() {
       "Figure 8 + Table II (Section IV.C)");
 
   const std::uint64_t seed = bench::BenchSeed();
+  const SimTime duration =
+      bench::EnvInt("MAMS_BENCH_SECONDS",
+                    static_cast<int>(kPaperDuration / kSecond)) *
+      kSecond;
 
   // Test A: make the active lose the lock at t = 60, 120, 180 s.
   Scenario test_a{
@@ -131,9 +145,9 @@ int main() {
       "The global view is modified so the current active loses the "
       "distributed lock; it must stop serving, a standby is elected, and "
       "the deposed server re-registers as a standby.",
-      [](sim::Simulator& sim, cluster::FaultExecutor& faults) {
-        for (SimTime at : {60 * kSecond, 120 * kSecond, 180 * kSecond}) {
-          sim.After(at, [&faults] {
+      [](sim::Simulator& sim, cluster::FaultExecutor& faults, const auto& at) {
+        for (SimTime t : {60 * kSecond, 120 * kSecond, 180 * kSecond}) {
+          sim.After(at(t), [&faults] {
             (void)faults.Apply({.kind = Kind::kForceLockRelease});
           });
         }
@@ -146,9 +160,9 @@ int main() {
       "Two servers lose their network at once (multi-point failure); their "
       "sessions expire, a surviving standby takes over; when re-plugged the "
       "isolated servers re-register and are renewed to standbys.",
-      [](sim::Simulator& sim, cluster::FaultExecutor& faults) {
-        auto wires = [&sim, &faults](SimTime at, Kind kind, int a, int b) {
-          sim.After(at, [&faults, kind, a, b] {
+      [](sim::Simulator& sim, cluster::FaultExecutor& faults, const auto& at) {
+        auto wires = [&](SimTime t, Kind kind, int a, int b) {
+          sim.After(at(t), [&faults, kind, a, b] {
             (void)faults.Apply({.kind = kind, .member = a});
             (void)faults.Apply({.kind = kind, .member = b});
           });
@@ -165,17 +179,18 @@ int main() {
       "The active process is killed at 60 s and restarted at 75 s (rejoins "
       "as junior, renewed to standby); the new active is killed at 140 s "
       "and restarted at 155 s.",
-      [](sim::Simulator& sim, cluster::FaultExecutor& faults) {
-        for (SimTime at : {60 * kSecond, 140 * kSecond}) {
-          sim.After(at, [&faults] {
+      [](sim::Simulator& sim, cluster::FaultExecutor& faults, const auto& at) {
+        const SimTime down = at(15 * kSecond);
+        for (SimTime t : {60 * kSecond, 140 * kSecond}) {
+          sim.After(at(t), [&faults, down] {
             (void)faults.Apply(
-                {.kind = Kind::kCrashActive, .duration = 15 * kSecond});
+                {.kind = Kind::kCrashActive, .duration = down});
           });
         }
       }};
 
   for (const auto& s : {test_a, test_b, test_c}) {
-    const ScenarioResult r = RunScenario(s, seed);
+    const ScenarioResult r = RunScenario(s, seed, duration);
     Print(s.name, s.description, r);
   }
 

@@ -4,6 +4,10 @@
 // resolution-cache work: the headline number is resolve throughput with
 // the LRU path cache on vs off vs the seed-style sorted-map walk.
 //
+// It also reports the namespace's memory cost: bytes_per_file is the heap
+// growth over populating the tree (glibc mallinfo2: in-use arena bytes plus
+// mmapped blocks), divided by the file count.
+//
 // Emits BENCH_namespace.json (override the path with MAMS_BENCH_OUT) and a
 // human-readable summary on stdout.
 //
@@ -12,6 +16,8 @@
 //   MAMS_NS_DIRS          — leaf directories (default 64)
 //   MAMS_NS_FILES_PER_DIR — files per leaf directory (default 256)
 //   MAMS_NS_RESOLVE_OPS   — resolve ops per mode (default 2,000,000)
+#include <malloc.h>
+
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -68,11 +74,23 @@ const Inode* LegacyResolve(const Tree& tree, std::string_view path) {
   const Inode* cur = tree.inode(mams::kRootInode);
   for (std::string_view comp : mams::fsns::SplitPath(path)) {
     if (cur == nullptr || !cur->is_dir) return nullptr;
-    auto it = cur->children.find(std::string(comp));
-    if (it == cur->children.end()) return nullptr;
+    const auto& children = cur->entries();
+    auto it = children.find(std::string(comp));
+    if (it == children.end()) return nullptr;
     cur = tree.inode(it->second);
   }
   return cur;
+}
+
+/// Heap bytes in use, or 0 where glibc's mallinfo2 is unavailable.
+std::size_t HeapInUse() {
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
 }
 
 struct Throughput {
@@ -120,12 +138,17 @@ int main() {
   // --- create ---------------------------------------------------------------
   Tree tree;
   double create_ops_per_sec = 0;
+  double bytes_per_file = 0;
   {
+    const std::size_t heap_before = HeapInUse();
     const double begin = WallSeconds();
     Populate(tree, paths);
     const double elapsed = WallSeconds() - begin;
+    const std::size_t heap_after = HeapInUse();
     create_ops_per_sec =
         elapsed > 0 ? static_cast<double>(paths.size()) / elapsed : 0;
+    bytes_per_file = static_cast<double>(heap_after - heap_before) /
+                     static_cast<double>(paths.size());
   }
 
   // --- resolve: cache on / cache off / seed-style walk ----------------------
@@ -181,6 +204,7 @@ int main() {
       legacy.ops_per_sec > 0 ? cache_on.ops_per_sec / legacy.ops_per_sec : 0;
 
   std::printf("  create:            %12.0f ops/s\n", create_ops_per_sec);
+  std::printf("  memory:            %12.1f bytes/file\n", bytes_per_file);
   std::printf("  resolve cache-on:  %12.0f ops/s (checksum %" PRIu64 ")\n",
               cache_on.ops_per_sec, cache_on.checksum + warm.checksum);
   std::printf("  resolve cache-off: %12.0f ops/s\n", cache_off.ops_per_sec);
@@ -214,6 +238,7 @@ int main() {
                    .Set("speedup_cache_on_vs_seed_walk",
                         Json::Num(speedup_vs_legacy, 3)))
           .Set("create_ops_per_sec", Json::Num(create_ops_per_sec, 0))
+          .Set("bytes_per_file", Json::Num(bytes_per_file, 1))
           .Set("listdir_ops_per_sec", Json::Num(list.ops_per_sec, 0))
           .Set("rename_ops_per_sec", Json::Num(rename.ops_per_sec, 0))
           .Set("cache", Json::Object()

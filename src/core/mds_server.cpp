@@ -2241,10 +2241,13 @@ void MdsServer::WriteCheckpoint() {
   const std::size_t chunks = std::max<std::size_t>(
       1, (logical + kImageChunkBytes - 1) / kImageChunkBytes);
   // Write chunks sequentially; each record carries an even slice of the
-  // real bytes and an even share of the logical size.
+  // real bytes and an even share of the logical size. The chain holds
+  // itself weakly: only the in-flight Append callback keeps it alive, so a
+  // finished or abandoned checkpoint frees its image.
   auto write_chunk = std::make_shared<std::function<void(std::size_t)>>();
+  std::weak_ptr<std::function<void(std::size_t)>> weak_chunk = write_chunk;
   *write_chunk = [this, bytes, chunks, logical, file, sn,
-                  write_chunk](std::size_t i) {
+                  weak_chunk](std::size_t i) {
     if (i >= chunks) {
       latest_image_ = {file, sn};
       obs_->tracer().End(checkpoint_span_, {{"ok", "true"}});
@@ -2258,10 +2261,11 @@ void MdsServer::WriteCheckpoint() {
     rec.bytes.assign(bytes->begin() + static_cast<long>(lo),
                      bytes->begin() + static_cast<long>(hi));
     rec.logical_bytes = logical / chunks;
-    ssp_->Append(file, std::move(rec), [this, i, write_chunk](Status s) {
-      if (!s.ok()) return;  // abandoned checkpoint; next timer tick retries
-      (*write_chunk)(i + 1);
-    });
+    ssp_->Append(file, std::move(rec),
+                 [i, next = weak_chunk.lock()](Status s) {
+                   if (!s.ok()) return;  // abandoned; next timer tick retries
+                   (*next)(i + 1);
+                 });
   };
   (*write_chunk)(0);
 }

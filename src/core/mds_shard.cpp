@@ -287,7 +287,7 @@ void MdsServer::AppendInstallRecords(const std::string& path,
                                      std::vector<journal::LogRecord>& out) {
   journal::LogRecord rec;
   rec.path = path;
-  rec.path2 = node.owner;
+  rec.path2 = tree_.OwnerOf(node);
   rec.replication = node.replication;
   rec.mtime = node.mtime;
   if (node.is_dir) {
@@ -1050,7 +1050,7 @@ void MdsServer::SendRenameCommit(const std::string& src) {
   msg->client = intent.client;
   msg->replication = node->replication;
   msg->permission = node->permission;
-  msg->owner = node->owner;
+  msg->owner = tree_.OwnerOf(*node);
   msg->mtime = intent.mtime;
   msg->complete = node->complete;
   msg->blocks = node->blocks;

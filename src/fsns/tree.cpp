@@ -22,6 +22,9 @@ void Tree::Reset() {
   alloc_trace_.clear();
   alloc_script_ = nullptr;
   alloc_script_pos_ = 0;
+  owners_.clear();
+  owner_index_.clear();
+  InternOwner("hdfs");  // index 0: every inode's default owner
   Inode root;
   root.id = kRootInode;
   root.parent = kInvalidInode;
@@ -34,6 +37,22 @@ void Tree::Reset() {
 }
 
 const Inode* Tree::Resolve(std::string_view path) const {
+  // LRU cache: one hash probe on the full path. The cached id is
+  // re-validated against the inode table; ids are never reused, so a live
+  // entry can only mean "this exact inode" (stale ids of deleted inodes
+  // simply miss and fall through to the walk, which refreshes the entry).
+  // With no batch hint set the cache answers first: only paths that
+  // resolved are cached, so a hit needs no IsValidPath, which otherwise
+  // costs about half of a hit. A set hint answers before the cache.
+  std::optional<InodeId> cached;
+  auto probe = [&]() -> const Inode* {
+    cached = resolve_cache_.Lookup(path);
+    return cached ? inode(*cached) : nullptr;
+  };
+  const bool cache_first = active_hint_ == nullptr && resolve_cache_.enabled();
+  if (cache_first) {
+    if (const Inode* hit = probe()) return hit;
+  }
   if (!IsValidPath(path)) return nullptr;
   if (path.size() == 1) return &inodes_.at(kRootInode);
 
@@ -58,16 +77,10 @@ const Inode* Tree::Resolve(std::string_view path) const {
     }
   }
 
-  // LRU cache: one hash probe on the full path. The cached id is
-  // re-validated against the inode table; ids are never reused, so a live
-  // entry can only mean "this exact inode" (stale ids of deleted inodes
-  // simply miss and fall through to the walk, which refreshes the entry).
-  if (resolve_cache_.enabled()) {
-    if (auto id = resolve_cache_.Lookup(path)) {
-      auto it = inodes_.find(*id);
-      if (it != inodes_.end()) return &it->second;
-    }
+  if (!cache_first && resolve_cache_.enabled()) {
+    if (const Inode* hit = probe()) return hit;
   }
+  if (resolve_cache_.enabled() && !cached) resolve_cache_.CountMiss();
 
   // Zero-allocation walk: component cursor over the original string_view,
   // heterogeneous lookups into each directory's child index. Child ids are
@@ -95,6 +108,16 @@ const Inode* Tree::FindInode(std::string_view path) const {
   return Resolve(path);
 }
 
+std::uint32_t Tree::InternOwner(std::string_view owner) {
+  if (auto it = owner_index_.find(owner); it != owner_index_.end()) {
+    return it->second;
+  }
+  const auto index = static_cast<std::uint32_t>(owners_.size());
+  owners_.emplace_back(owner);
+  owner_index_.emplace(owners_.back(), index);
+  return index;
+}
+
 const Inode* Tree::inode(InodeId id) const {
   auto it = inodes_.find(id);
   return it == inodes_.end() ? nullptr : &it->second;
@@ -117,7 +140,7 @@ Result<FileInfo> Tree::GetFileInfo(std::string_view path) const {
   info.is_dir = node->is_dir;
   info.replication = node->replication;
   info.permission = node->permission;
-  info.owner = node->owner;
+  info.owner = OwnerOf(*node);
   info.mtime = node->mtime;
   info.block_count = node->blocks.size();
   info.complete = node->complete;
@@ -131,8 +154,8 @@ Result<std::vector<std::string>> Tree::ListDir(std::string_view path) const {
     return Status::FailedPrecondition(std::string(path) + " is not a directory");
   }
   std::vector<std::string> names;
-  names.reserve(node->children.size());
-  for (const auto& [name, id] : node->children) names.push_back(name);
+  names.reserve(node->entries().size());
+  for (const auto& [name, id] : node->entries()) names.push_back(name);
   return names;
 }
 
@@ -294,9 +317,17 @@ Status Tree::DoDelete(std::string_view path, SimTime mtime) {
     doomed.push_back(id);
     auto it = inodes_.find(id);
     if (it == inodes_.end()) continue;
-    for (const auto& [name, child] : it->second.children) {
+    for (const auto& [name, child] : it->second.entries()) {
       stack.push_back(child);
     }
+  }
+  // Every cached resolution at or under the deleted root is now dangling
+  // (id validation would catch the staleness, but eager invalidation keeps
+  // the cache from filling with dead weight — and protects the invariant
+  // that a live cached id always means "this exact path").
+  if (resolve_cache_.size() > 0) {
+    std::string scratch(path);
+    InvalidateSubtree(*node, scratch);
   }
   if (auto pit = inodes_.find(node->parent); pit != inodes_.end()) {
     pit->second.RemoveChild(node->name);
@@ -308,12 +339,20 @@ Status Tree::DoDelete(std::string_view path, SimTime mtime) {
     CountInode(it->second, -1);
     inodes_.erase(it);
   }
-  // Every cached resolution at or under the deleted root is now dangling
-  // (id validation would catch the staleness, but eager invalidation keeps
-  // the cache from filling with dead weight — and protects the invariant
-  // that a live cached id always means "this exact path").
-  resolve_cache_.InvalidatePrefix(path);
   return Status::Ok();
+}
+
+void Tree::InvalidateSubtree(const Inode& node, std::string& path) {
+  resolve_cache_.Erase(path);
+  const std::size_t mark = path.size();
+  for (const auto& [name, child_id] : node.entries()) {
+    auto it = inodes_.find(child_id);
+    if (it == inodes_.end()) continue;  // dangling (sabotaged replay)
+    path.push_back('/');
+    path.append(name);
+    InvalidateSubtree(it->second, path);
+    path.resize(mark);
+  }
 }
 
 Status Tree::DoRename(std::string_view src, std::string_view dst,
@@ -347,11 +386,14 @@ Status Tree::DoRename(std::string_view src, std::string_view dst,
   node->mtime = mtime;
   new_parent->AddChild(node->name, node->id);
   new_parent->mtime = std::max(new_parent->mtime, mtime);
-  // The whole source subtree now answers to different paths; the dst
-  // prefix is cleared too as cheap insurance (no positive entry can exist
-  // there — dst was just verified absent — but the scan is already paid).
-  resolve_cache_.InvalidatePrefix(src);
-  resolve_cache_.InvalidatePrefix(dst);
+  // The whole source subtree now answers to different paths. Its shape is
+  // unchanged by the move, so walking it from its new place with the old
+  // root path names exactly the stale entries. Nothing is cached under dst:
+  // cached entries are positive, and dst was just verified absent.
+  if (resolve_cache_.size() > 0) {
+    std::string scratch(src);
+    InvalidateSubtree(*node, scratch);
+  }
   return Status::Ok();
 }
 
@@ -383,7 +425,7 @@ Status Tree::DoSetOwner(std::string_view path, std::string_view owner,
                         SimTime mtime) {
   Inode* node = ResolveMutable(path);
   if (node == nullptr) return Status::NotFound(std::string(path));
-  node->owner = std::string(owner);
+  node->owner_index = InternOwner(owner);
   node->mtime = mtime;
   return Status::Ok();
 }
@@ -428,7 +470,7 @@ Status Tree::DoInstallFile(const journal::LogRecord& record) {
   Status s = DoCreate(record.path, record.replication, record.mtime);
   if (!s.ok()) return s;
   Inode* node = ResolveMutable(record.path);
-  node->owner = record.path2;
+  node->owner_index = InternOwner(record.path2);
   node->permission = static_cast<std::uint16_t>(record.block >> 2);
   node->complete = (record.block & 0x2) != 0;
   node->mtime = record.mtime;
@@ -442,7 +484,7 @@ Status Tree::DoInstallDir(const journal::LogRecord& record) {
   if (node == nullptr || !node->is_dir) {
     return Status::FailedPrecondition(record.path + " is not a directory");
   }
-  node->owner = record.path2;
+  node->owner_index = InternOwner(record.path2);
   node->permission = static_cast<std::uint16_t>(record.block >> 2);
   node->mtime = record.mtime;
   return Status::Ok();
@@ -536,7 +578,7 @@ void Tree::ForEachNode(
     const std::function<void(const std::string&, const Inode&)>& fn) const {
   std::string path;
   std::function<void(const Inode&)> walk = [&](const Inode& node) {
-    for (const auto& [name, child_id] : node.children) {
+    for (const auto& [name, child_id] : node.entries()) {
       auto it = inodes_.find(child_id);
       if (it == inodes_.end()) continue;  // dangling (sabotaged replay)
       const Inode& child = it->second;
@@ -840,7 +882,7 @@ std::vector<char> Tree::SaveImage() const {
   std::vector<const Inode*> reachable;
   std::function<void(const Inode&)> collect = [&](const Inode& node) {
     reachable.push_back(&node);
-    for (const auto& [name, child] : node.children) {
+    for (const auto& [name, child] : node.entries()) {
       if (auto it = inodes_.find(child); it != inodes_.end()) {
         collect(it->second);
       }
@@ -857,7 +899,7 @@ std::vector<char> Tree::SaveImage() const {
     out.U8(node.complete ? 1 : 0);
     out.U32(node.replication);
     out.U32(node.permission);
-    out.Str(node.owner);
+    out.Str(OwnerOf(node));
     out.I64(node.mtime);
     out.U32(static_cast<std::uint32_t>(node.blocks.size()));
     for (BlockId b : node.blocks) out.U64(b);
@@ -943,7 +985,7 @@ Status Tree::LoadImage(const std::vector<char>& bytes) {
     node.complete = in.U8() != 0;
     node.replication = in.U32();
     node.permission = static_cast<std::uint16_t>(in.U32());
-    node.owner = in.Str();
+    node.owner_index = fresh.InternOwner(in.Str());
     node.mtime = in.I64();
     const std::uint32_t nblocks = in.U32();
     node.blocks.reserve(nblocks);
@@ -1034,9 +1076,9 @@ std::uint64_t Tree::Fingerprint() const {
         node.blocks.size(),
     };
     h = Fnv1a(attrs, sizeof(attrs), h);
-    h = Fnv1a(node.owner, h);
+    h = Fnv1a(OwnerOf(node), h);
     for (BlockId b : node.blocks) h = Fnv1a(&b, sizeof(b), h);
-    for (const auto& [name, child] : node.children) {
+    for (const auto& [name, child] : node.entries()) {
       auto it = inodes_.find(child);
       if (it == inodes_.end()) {
         // Dangling child (sabotaged replay): fold the hole into the hash —

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -44,37 +45,51 @@ struct StringViewHash {
   }
 };
 
+/// A directory's entries, sorted by name. It is the one child index:
+/// listing, image export and the fingerprint walk it in order, and
+/// resolution looks names up by string_view (std::less<> is transparent).
+using ChildMap = std::map<std::string, InodeId, std::less<>>;
+
+/// One namespace entry. The whole namespace lives in memory on the active
+/// and on every standby, so the layout is kept compact (104 bytes): the
+/// owner is an index into the tree's owner table, the entries of a
+/// directory are allocated on its first child, and the narrow fields sit
+/// together at the end.
 struct Inode {
   InodeId id = kInvalidInode;
   InodeId parent = kInvalidInode;
   std::string name;
-  bool is_dir = false;
-  std::uint32_t replication = 1;
-  std::uint16_t permission = 0644;   ///< POSIX-style bits (HDFS FsPermission)
-  std::string owner = "hdfs";        ///< "user:group"
   SimTime mtime = 0;
-  bool complete = true;              ///< files: closed vs under construction
   std::vector<BlockId> blocks;       ///< files only
+  /// Directory entries; null for files and for directories without
+  /// children (an emptied directory frees its map).
+  std::unique_ptr<ChildMap> children;
+  std::uint32_t replication = 1;
+  std::uint32_t owner_index = 0;     ///< Tree::OwnerOf gives "user:group"
+  std::uint16_t permission = 0644;   ///< POSIX-style bits (HDFS FsPermission)
+  bool is_dir = false;
+  bool complete = true;              ///< files: closed vs under construction
 
-  // Directory entries are kept twice: the sorted map drives everything
-  // that needs deterministic order (listing, image export, fingerprint),
-  // the hash index serves the resolve hot path with O(1) heterogeneous
-  // string_view lookups. AddChild/RemoveChild keep the two in lock-step.
-  std::map<std::string, InodeId> children;  ///< dirs only, sorted
-  std::unordered_map<std::string, InodeId, StringViewHash, std::equal_to<>>
-      child_index;  ///< dirs only, mirrors `children`
-
+  /// The directory's entries in name order; empty for a file.
+  const ChildMap& entries() const {
+    static const ChildMap kNone;
+    return children ? *children : kNone;
+  }
   const InodeId* FindChild(std::string_view name_sv) const {
-    auto it = child_index.find(name_sv);
-    return it == child_index.end() ? nullptr : &it->second;
+    if (!children) return nullptr;
+    auto it = children->find(name_sv);
+    return it == children->end() ? nullptr : &it->second;
   }
   void AddChild(const std::string& child_name, InodeId child_id) {
-    children.emplace(child_name, child_id);
-    child_index.emplace(child_name, child_id);
+    if (!children) children = std::make_unique<ChildMap>();
+    children->emplace(child_name, child_id);
   }
-  void RemoveChild(const std::string& child_name) {
-    children.erase(child_name);
-    child_index.erase(child_name);
+  void RemoveChild(std::string_view child_name) {
+    if (!children) return;
+    if (auto it = children->find(child_name); it != children->end()) {
+      children->erase(it);
+    }
+    if (children->empty()) children.reset();
   }
 };
 
@@ -99,6 +114,10 @@ class Tree {
   bool Exists(std::string_view path) const;
   const Inode* FindInode(std::string_view path) const;
   const Inode* inode(InodeId id) const;
+  /// The owner ("user:group") of `node`, from the interned owner table.
+  const std::string& OwnerOf(const Inode& node) const {
+    return owners_[node.owner_index];
+  }
 
   std::size_t inode_count() const noexcept { return inodes_.size(); }
   std::uint64_t file_count() const noexcept { return file_count_; }
@@ -331,6 +350,15 @@ class Tree {
 
   void CountInode(const Inode& inode, int delta);
 
+  /// Index of `owner` in the owner table, adding it on first use.
+  std::uint32_t InternOwner(std::string_view owner);
+
+  /// Drops the cached resolutions of `path` and of every path beneath it,
+  /// walking the subtree rooted at `node` (which `path` names, or named
+  /// before a rename): one hash erase per inode, never a cache scan.
+  /// `path` is a scratch buffer; it is restored before returning.
+  void InvalidateSubtree(const Inode& node, std::string& path);
+
   std::unordered_map<InodeId, Inode> inodes_;
   InodeId next_inode_ = kRootInode + 1;
   BlockId next_block_ = 1;
@@ -338,6 +366,13 @@ class Tree {
   std::uint64_t file_count_ = 0;
   std::unordered_map<std::uint64_t, ClientEntry> client_table_;
   ShardState shard_;
+  /// Distinct owners, interned: an inode stores its index here. Index 0 is
+  /// the default "hdfs". Owners are few (users and groups, not files), so
+  /// entries are never reclaimed; the image stores each inode's string.
+  std::vector<std::string> owners_;
+  std::unordered_map<std::string, std::uint32_t, StringViewHash,
+                     std::equal_to<>>
+      owner_index_;
 
   /// Pure accelerator state: never serialized, never fingerprinted, never
   /// observable through query results — only through resolve speed.

@@ -573,7 +573,7 @@ TEST(StandbyReadSweepTest, SessionConsistentOffloadYieldsNoViolations) {
 // --- rename/delete storms across failover -----------------------------------
 
 TEST(ResolveCacheSweepTest, RenameDeleteStormsYieldNoStaleHits) {
-  // Rename/delete-heavy traffic exercises fsns::ResolveCache prefix
+  // Rename/delete-heavy traffic exercises fsns::ResolveCache subtree
   // invalidation: a stale-positive hit after a rename or delete would
   // surface as a stale read / lost ack in the history. Faults run
   // concurrently, so invalidation is also crossed with failover replay.

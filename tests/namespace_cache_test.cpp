@@ -5,11 +5,13 @@
 // any of these fingerprints or lookups diverge, it leaked into semantics.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fsns/partition.hpp"
 #include "fsns/path.hpp"
 #include "fsns/tree.hpp"
 #include "journal/record.hpp"
@@ -294,6 +296,187 @@ TEST(NamespaceCacheTest, HintSurvivesInterleavedStructuralRecords) {
   Tree replayed;
   Replay(replayed, records, 0, records.size(), 64);
   EXPECT_EQ(live.Fingerprint(), replayed.Fingerprint());
+}
+
+TEST(NamespaceCacheTest, OnlyResolutionsThatWalkCountAsMisses) {
+  Tree tree;
+  ClientOpId none{};
+  ASSERT_TRUE(tree.Mkdir("/a/b", 1, none).ok());
+  tree.SetResolveCacheCapacity(0);  // empty the cache; stats survive
+  tree.SetResolveCacheCapacity(16);
+  const ResolveCache::Stats before = tree.resolve_cache().stats();
+  auto hits = [&] { return tree.resolve_cache().stats().hits - before.hits; };
+  auto misses = [&] {
+    return tree.resolve_cache().stats().misses - before.misses;
+  };
+
+  // The cache is probed before the path is validated; neither the root
+  // nor an invalid path walks, so neither counts.
+  EXPECT_NE(tree.FindInode("/"), nullptr);
+  EXPECT_EQ(tree.FindInode("/a//b"), nullptr);
+  EXPECT_EQ(tree.FindInode("/a/./b"), nullptr);
+  EXPECT_EQ(tree.FindInode("a/b"), nullptr);
+  EXPECT_EQ(hits(), 0u);
+  EXPECT_EQ(misses(), 0u);
+
+  EXPECT_NE(tree.FindInode("/a/b"), nullptr);  // walks, then cached
+  EXPECT_EQ(tree.FindInode("/a/zz"), nullptr);  // walks, not cached
+  EXPECT_EQ(misses(), 2u);
+  EXPECT_NE(tree.FindInode("/a/b"), nullptr);
+  EXPECT_EQ(hits(), 1u);
+  EXPECT_EQ(misses(), 2u);
+}
+
+/// Reference model for cache invalidation: a linear scan that drops every
+/// cached path under a deleted or renamed root. The tree instead erases the
+/// paths of the subtree it walks; both must leave the same (path, id) set
+/// and count the same invalidations.
+struct PrefixScanModel {
+  std::map<std::string, InodeId> entries;
+  std::uint64_t invalidations = 0;
+
+  void InvalidatePrefix(std::string_view prefix) {
+    for (auto it = entries.begin(); it != entries.end();) {
+      if (IsPrefixPath(prefix, it->first)) {
+        it = entries.erase(it);
+        ++invalidations;
+      } else {
+        ++it;
+      }
+    }
+  }
+};
+
+std::map<std::string, InodeId> CacheContents(const Tree& tree) {
+  std::map<std::string, InodeId> out;
+  tree.resolve_cache().ForEach([&](std::string_view path, InodeId id) {
+    out.emplace(std::string(path), id);
+  });
+  return out;
+}
+
+TEST(NamespaceCacheTest, SubtreeInvalidationMatchesPrefixScanModel) {
+  constexpr std::uint32_t kSlots = 8;
+  Tree cached;
+  cached.SetResolveCacheCapacity(1 << 20);  // no evictions: a pure set
+  Tree plain;                               // ground truth for lookups
+  plain.SetResolveCacheCapacity(0);
+  Rng rng(0xd1ff);
+  ClientOpId none{};
+  SimTime now = 0;
+  int structural = 0;
+
+  auto known = [&](bool want_dir) {
+    std::vector<std::string> out;
+    plain.ForEachNode([&](const std::string& path, const Inode& node) {
+      if (node.is_dir == want_dir) out.push_back(path);
+    });
+    return out;
+  };
+  auto pick = [&](const std::vector<std::string>& v) -> std::string {
+    return v.empty() ? std::string("/") : v[rng.Below(v.size())];
+  };
+  auto warm = [&](std::string_view path) { (void)cached.FindInode(path); };
+
+  for (int step = 0; step < 1500; ++step) {
+    ++now;
+    const std::vector<std::string> dirs = known(true);
+    const std::vector<std::string> files = known(false);
+    // Warm random entries so every invalidation has something to find.
+    for (int i = 0; i < 4; ++i) warm(pick(rng.Chance(0.5) ? dirs : files));
+
+    PrefixScanModel model;
+    const std::uint64_t dice = rng.Below(100);
+    bool exact = true;  // structural ops: the cache must equal the model
+    auto snapshot = [&] {
+      model.entries = CacheContents(cached);
+      model.invalidations = cached.resolve_cache().stats().invalidations;
+    };
+    auto both = [&](auto&& op) {
+      const bool a = op(cached).ok();
+      const bool b = op(plain).ok();
+      EXPECT_EQ(a, b) << "step " << step;
+      return a;
+    };
+
+    if (dice < 20) {
+      const std::string dir = pick(dirs);
+      const std::string path = JoinPath(dir, "d" + std::to_string(step));
+      snapshot();
+      exact = false;
+      both([&](Tree& t) { return t.Mkdir(path, now, none); });
+    } else if (dice < 50) {
+      const std::string dir = pick(dirs);
+      const std::string path = JoinPath(dir, "f" + std::to_string(step));
+      snapshot();
+      exact = false;
+      both([&](Tree& t) { return t.Create(path, 3, now, none); });
+    } else if (dice < 65) {
+      const std::string path = pick(rng.Chance(0.4) ? dirs : files);
+      if (path == "/") continue;
+      warm(path);  // the op's own resolution must not add an entry
+      snapshot();
+      if (both([&](Tree& t) { return t.Delete(path, now, none); })) {
+        model.InvalidatePrefix(path);
+        ++structural;
+      }
+    } else if (dice < 92) {
+      const std::string src = pick(rng.Chance(0.5) ? dirs : files);
+      const std::string dst =
+          JoinPath(pick(dirs), "r" + std::to_string(step));
+      if (src == "/" || IsPrefixPath(src, dst)) continue;
+      warm(src);
+      warm(dst);
+      warm(ParentDir(dst));
+      snapshot();
+      if (both([&](Tree& t) { return t.Rename(src, dst, now, none); })) {
+        model.InvalidatePrefix(src);
+        model.InvalidatePrefix(dst);
+        ++structural;
+      }
+    } else {
+      // A discarded migration slot: every file whose entry hashes to it
+      // goes, one DoDelete per file, in DFS order.
+      const auto slot = static_cast<std::uint32_t>(rng.Below(kSlots));
+      snapshot();
+      for (const std::string& f : files) {
+        if (PathSlot(f, kSlots) != slot) continue;
+        model.entries[f] = plain.FindInode(f)->id;  // DoDelete resolves it
+        model.InvalidatePrefix(f);
+      }
+      LogRecord discard;
+      discard.op = journal::OpCode::kShardDiscard;
+      discard.block = slot;
+      discard.replication = kSlots;
+      discard.mtime = now;
+      ASSERT_TRUE(cached.Apply(discard).ok());
+      ASSERT_TRUE(plain.Apply(discard).ok());
+      ++structural;
+    }
+
+    const std::map<std::string, InodeId> got = CacheContents(cached);
+    EXPECT_EQ(cached.resolve_cache().stats().invalidations,
+              model.invalidations)
+        << "step " << step;
+    if (exact) {
+      ASSERT_EQ(got, model.entries) << "step " << step;
+    } else {
+      for (const auto& [path, id] : model.entries) {
+        auto it = got.find(path);
+        ASSERT_TRUE(it != got.end() && it->second == id)
+            << "step " << step << ": lost " << path;
+      }
+    }
+    // Every cached mapping is current.
+    for (const auto& [path, id] : got) {
+      const Inode* truth = plain.FindInode(path);
+      ASSERT_NE(truth, nullptr) << "step " << step << ": stale " << path;
+      ASSERT_EQ(truth->id, id) << "step " << step << ": " << path;
+    }
+  }
+  EXPECT_EQ(cached.Fingerprint(), plain.Fingerprint());
+  EXPECT_GT(structural, 300);
+  EXPECT_GT(cached.resolve_cache().stats().invalidations, 1000u);
 }
 
 }  // namespace
